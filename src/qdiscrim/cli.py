@@ -21,8 +21,8 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class ExperimentConfig:
     state: str = "phi0"
     output_path: str | None = None
     format: str = "json"
-    workers: int = 4
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     mle: MLEConfig = field(default_factory=MLEConfig)
 
@@ -113,8 +112,6 @@ class ExperimentConfig:
             raise ConfigError("n_events and n_per_setting must be positive")
         if self.state not in TOMO_STATES:
             raise ConfigError(f"state must be one of {TOMO_STATES}, got {self.state!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.experiment in _SAMPLING_EXPERIMENTS and self.master_seed is None:
             raise ConfigError(
                 f"experiment {self.experiment!r} draws samples and requires master_seed"
@@ -141,6 +138,21 @@ class ExperimentConfig:
         return out
 
 
+def _check_types(cls, data: dict, prefix: str = "") -> None:
+    """Reject values of the wrong JSON type, nested ones too; a boolean is no number."""
+    for name, hint in typing.get_type_hints(cls).items():
+        if name not in data:
+            continue
+        value = data[name]
+        allowed = (dict,) if is_dataclass(hint) else typing.get_args(hint) or (hint,)
+        number = float in allowed and isinstance(value, int)
+        if isinstance(value, bool) or not (number or isinstance(value, allowed)):
+            wanted = getattr(hint, "__name__", hint)
+            raise ConfigError(f"{prefix}{name} must be {wanted}, got {json.dumps(value)}")
+        if is_dataclass(hint):
+            _check_types(hint, value, prefix=f"{prefix}{name}.")
+
+
 def load_config(path: str, overrides: dict) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -162,6 +174,7 @@ def load_config(path: str, overrides: dict) -> ExperimentConfig:
     raw.update({k: v for k, v in overrides.items() if v is not None})
     if "experiment" not in raw:
         raise ConfigError("config must name the experiment to run")
+    _check_types(ExperimentConfig, raw)
     try:
         if "optimizer" in raw:
             raw["optimizer"] = OptimizerConfig.from_json(raw["optimizer"])
@@ -212,25 +225,11 @@ def run_pair(cfg: ExperimentConfig) -> dict:
     return {"pair": _pair_row(cfg.theta0_deg, cfg.theta1_deg, cfg, row_index=0)}
 
 
-def _map_rows(fn, args_list, workers: int):
-    if workers <= 1 or len(args_list) <= 1:
-        return [fn(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *args) for args in args_list]
-        return [f.result() for f in futures]
-
-
 def run_grid(cfg: ExperimentConfig) -> dict:
     """Sweep the orthogonal family over a square angle grid."""
     values = np.arange(0.0, 90.0 + cfg.grid_step_deg / 2.0, cfg.grid_step_deg)
-    tasks = []
-    row = 0
-    for theta0 in values:
-        for theta1 in values:
-            tasks.append((float(theta0), float(theta1), cfg, row))
-            row += 1
-    rows = _map_rows(_pair_row, tasks, cfg.workers)
-    return {"rows": rows}
+    pairs = [(float(t0), float(t1)) for t0 in values for t1 in values]
+    return {"rows": [_pair_row(t0, t1, cfg, row) for row, (t0, t1) in enumerate(pairs)]}
 
 
 def _curve_row(eta: float, cfg: ExperimentConfig, row_index: int) -> dict:
@@ -269,12 +268,10 @@ def run_curve(cfg: ExperimentConfig) -> dict:
     best no-feed-forward measurement, for ideal and noisy preparations;
     sampled estimates use the configured event budget.
     """
-    etas = np.arange(
-        cfg.eta_min_deg, cfg.eta_max_deg + cfg.eta_step_deg / 2.0, cfg.eta_step_deg
-    )
-    tasks = [(float(eta), cfg, i) for i, eta in enumerate(etas)]
-    rows = _map_rows(_curve_row, tasks, cfg.workers)
-    return {"rows": rows}
+    lo, hi, step = cfg.eta_min_deg, cfg.eta_max_deg, cfg.eta_step_deg
+    # An integer count, and no point past eta_max_deg from rounding.
+    etas = [min(lo + i * step, hi) for i in range(int((hi - lo) / step + 1e-9) + 1)]
+    return {"rows": [_curve_row(float(eta), cfg, i) for i, eta in enumerate(etas)]}
 
 
 def _tomo_target(cfg: ExperimentConfig) -> PureState2Q:
@@ -445,9 +442,6 @@ def main(argv=None) -> int:
     except DiscriminationError as exc:
         print(f"discrim: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, TypeError) as exc:
-        print(f"discrim: config error: {exc}", file=sys.stderr)
-        return 2
 
     text = report_to_json(report) if cfg.format == "json" else report_to_csv(report)
     out_path = _resolve_output(cfg)

@@ -8,9 +8,9 @@ result.  The common basis comes from a "hollow" vector w of the 2x2 matrix
 m = F G^dagger built from the two amplitude matrices, i.e. <w|m|w> = 0;
 because m is traceless the orthogonal complement of w works automatically.
 
-Without feed-forward the best fixed product measurement is found
-numerically; comparing it with the feed-forward protocol quantifies the
-value of the classical side channel.
+Without feed-forward the best fixed product measurement is exact on Bob's
+side and searched on Alice's; comparing it with the feed-forward protocol
+quantifies the value of the classical side channel.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg
 from .errors import (
@@ -129,10 +128,12 @@ class ProductMeasurement:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search settings for the no-feed-forward optimiser.
+    """Search settings for Alice's direction in the no-feed-forward optimiser.
 
-    The coarse stage scans Bloch angles (polar x azimuthal per side); the
-    best grid points seed Nelder-Mead refinements in the 4 angles.
+    polar_points x azimuth_points is the grid of Alice directions over the
+    sphere; its best refine_starts points and two closed-form starts are
+    zoomed (0: no zoom, the best grid point stays); max_refine_iterations
+    caps the zoom rounds; simplex_tol (radians) is the step that ends one.
     """
 
     polar_points: int = 24
@@ -373,34 +374,65 @@ def product_success_probability(
     return total
 
 
-def _bloch_vec(t: float, p: float) -> np.ndarray:
-    return np.array([np.cos(t / 2.0), np.exp(1j * p) * np.sin(t / 2.0)], dtype=complex)
+# Pauli basis I, X, Y, Z, and the 3x3 zoom pattern with its centre first.
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PATTERN = np.array([(0, 0)] + [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
-def _grid_projectors(n_polar: int, n_azimuth: int):
-    """All grid bases for one side: angle list plus per-outcome projectors."""
-    t = np.pi * (np.arange(n_polar) + 0.5) / n_polar
-    p = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    tt, pp = np.meshgrid(t, p, indexing="ij")
-    tt, pp = tt.ravel(), pp.ravel()
-    v0 = np.stack([np.cos(tt / 2.0), np.exp(1j * pp) * np.sin(tt / 2.0)], axis=1)
-    v1 = np.stack([-np.exp(-1j * pp) * np.sin(tt / 2.0), np.cos(tt / 2.0)], axis=1)
-    proj = np.empty((tt.size, 2, 2, 2), dtype=complex)
-    proj[:, 0] = np.einsum("gi,gj->gij", v0, v0.conj())
-    proj[:, 1] = np.einsum("gi,gj->gij", v1, v1.conj())
-    return np.stack([tt, pp], axis=1), proj
+def _mixed_term(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
+    """4 (|c+| + |r-|) for Alice directions alice (see optimize_local_projective)."""
+    u = alice @ table[1:]
+    return np.abs(table[0, 0] + u[..., 0]) + np.linalg.norm(table[0, 1:] - u[..., 1:], axis=-1)
 
 
-def _outcome_probs(rho_mat: np.ndarray, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
-    """2x2 outcome probabilities of rho for product bases ua, ub (columns)."""
-    u = kron(ua, ub)
-    q = np.einsum("jo,jk,ko->o", u.conj(), rho_mat, u).real
-    return q.reshape(2, 2)
+def _directions(angles: np.ndarray) -> np.ndarray:
+    """Unit Bloch vectors for (..., 2) arrays of polar and azimuthal angles."""
+    t, p = angles[..., 0], angles[..., 1]
+    return np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
 
 
-def _basis_columns(t: float, p: float) -> np.ndarray:
-    v = _bloch_vec(t, p)
-    return np.column_stack([v, perp2(v)])
+def _zoom(table: np.ndarray, alice: np.ndarray, step: float, cfg: OptimizerConfig):
+    """3x3 pattern search of the mixed term over Bloch angles of a frame with each
+    start on its equator; a step halves when no neighbour gains."""
+    e1 = np.cross(alice, np.where(abs(alice[:, :1]) < 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    frames = np.stack([alice, e1, np.cross(alice, e1)], axis=1)  # rows: the frame's axes
+    angles = np.full((len(alice), 2), (np.pi / 2.0, 0.0))
+    steps = np.full(len(alice), step)
+    rows = np.arange(len(alice))
+    for _ in range(cfg.max_refine_iterations):
+        live = steps >= cfg.simplex_tol
+        if not live.any():
+            break
+        cand = angles[:, None, :] + steps[:, None, None] * _PATTERN
+        k = _mixed_term(table, _directions(cand) @ frames).argmax(axis=1)
+        moved = live & (k != 0)
+        angles = np.where(moved[:, None], cand[rows, k], angles)
+        steps = np.where(live & ~moved, steps / 2.0, steps)
+    return (_directions(angles)[:, None] @ frames)[:, 0]
+
+
+def _best_product(table: np.ndarray, alice: np.ndarray):
+    """The best (Alice, Bob) directions, Bob's along r+, r-, r+ + r- or r+ - r-."""
+    u = alice @ table[1:]
+    sides = np.stack([table[0] + u, table[0] - u], axis=1) / 4.0
+    c, r = sides[..., 0], sides[..., 1:]
+    bob = np.stack([r[:, 0], r[:, 1], r[:, 0] + r[:, 1], r[:, 0] - r[:, 1]], axis=1)
+    norm = np.linalg.norm(bob, axis=-1, keepdims=True)
+    # A zero candidate scores sum_s |c_s|, which every direction reaches.
+    bob = np.where(norm > 0.0, bob / np.maximum(norm, 1e-300), (0.0, 0.0, 1.0))
+    dots = np.abs(np.einsum("isk,ijk->ijs", r, bob))
+    score = np.maximum(np.abs(c)[:, None, :], dots).sum(axis=-1)
+    i, j = np.unravel_index(np.argmax(score), score.shape)
+    return alice[i], bob[i, j]
+
+
+def _basis(direction: np.ndarray) -> np.ndarray:
+    """Qubit basis whose first vector has this Bloch direction."""
+    t = np.arccos(np.clip(direction[2], -1.0, 1.0))
+    p = np.arctan2(direction[1], direction[0])
+    v = np.array([np.cos(t / 2.0), np.exp(1j * p) * np.sin(t / 2.0)])
+    return np.array([v, perp2(v)])
 
 
 def optimize_local_projective(
@@ -411,67 +443,41 @@ def optimize_local_projective(
 ) -> tuple[ProductMeasurement, float]:
     """Best fixed product projective measurement for a state pair.
 
-    Stage 1 scans a deterministic Bloch-angle grid on each side, assigning
-    each outcome to the hypothesis with the larger weighted probability
-    (label 0 wins ties).  Stage 2 refines the best grid points with
-    Nelder-Mead over the four angles.  The returned value is re-evaluated
-    exactly at the winning measurement, so repeated calls with the same
-    inputs agree bit for bit.
+    With T[mu, nu] = Tr[(sigma_mu (x) sigma_nu)(p0 rho0 - p1 rho1)], Alice's
+    outcome s = +/-1 along Bloch direction m leaves Bob c_s I + r_s.sigma,
+    c_s = (T00 + s m.T[1:,0]) / 4, r_s = (T[0,1:] + s m^T T[1:,1:]) / 4, and
+    Bob's direction n succeeds with 1/2 + sum_s max(|c_s|, |r_s.n|).  The
+    optimum is 1/2 plus the largest of |c+| + |c-| (best m along T[1:,0]),
+    |r+ + r-| (any m), |r+ - r-| (m = +/-u, the top left singular vector of
+    T[1:,1:]) and the mixed term |c+| + |r-| (|c-| + |r+| at -m), searched
+    alone: on the config's grid, then zoomed from its best points and +/-u.
+    Outcomes go to the larger weighted probability (label 0 wins ties) and
+    the value is re-evaluated at the winning measurement, so reruns agree
+    bit for bit.
     """
     _check_priors(priors)
     cfg = config or OptimizerConfig()
+    d = (priors.p0 * rho0.mat - priors.p1 * rho1.mat).reshape(2, 2, 2, 2)
+    table = np.einsum("mca,neb,abce->mn", _PAULIS, _PAULIS, d).real
 
-    angles, proj = _grid_projectors(cfg.polar_points, cfg.azimuth_points)
-    r0 = rho0.mat.reshape(2, 2, 2, 2)
-    r1 = rho1.mat.reshape(2, 2, 2, 2)
-    # prob[g, h, i, j] = Tr[rho (A_g,i (x) B_h,j)] over all basis pairs.
-    half0 = np.einsum("abcd,hodb->acho", r0, proj)
-    half1 = np.einsum("abcd,hodb->acho", r1, proj)
-    p0 = np.einsum("acho,gica->ghio", half0, proj).real
-    p1 = np.einsum("acho,gica->ghio", half1, proj).real
-    score = np.maximum(priors.p0 * p0, priors.p1 * p1).sum(axis=(2, 3))
+    t = np.pi * (np.arange(cfg.polar_points) + 0.5) / cfg.polar_points
+    p = 2.0 * np.pi * np.arange(cfg.azimuth_points) / cfg.azimuth_points
+    grid = _directions(np.stack(np.meshgrid(t, p, indexing="ij"), axis=-1)).reshape(-1, 3)
+    score = _mixed_term(table, grid)
+    a = table[1:, 0] / np.linalg.norm(table[1:, 0]) if table[1:, 0].any() else (0, 0, 1)
+    u = np.linalg.svd(table[1:, 1:])[0][:, 0]
+    starts = grid[np.argsort(-score, kind="stable")[: max(cfg.refine_starts, 1)]]
+    if cfg.refine_starts:
+        # The mixed term's |m^T T[1:,1:]| part peaks at +/-u: zoom from there too.
+        starts = _zoom(table, np.vstack([starts, u, -u]), np.pi / cfg.polar_points, cfg)
+    alice, bob = _best_product(table, np.vstack([starts, a, u]))
 
-    flat = np.argsort(-score.ravel(), kind="stable")
-    n_grid = angles.shape[0]
-
-    def objective(x: np.ndarray) -> float:
-        ua = _basis_columns(x[0], x[1])
-        ub = _basis_columns(x[2], x[3])
-        q0 = _outcome_probs(rho0.mat, ua, ub)
-        q1 = _outcome_probs(rho1.mat, ua, ub)
-        return -float(np.maximum(priors.p0 * q0, priors.p1 * q1).sum())
-
-    best_idx = int(flat[0])
-    best_x = np.concatenate([angles[best_idx // n_grid], angles[best_idx % n_grid]])
-    best_val = float(score.ravel()[best_idx])
-    for k in range(min(cfg.refine_starts, flat.size)):
-        idx = int(flat[k])
-        x0 = np.concatenate([angles[idx // n_grid], angles[idx % n_grid]])
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={
-                "xatol": cfg.simplex_tol,
-                "fatol": cfg.simplex_tol,
-                "maxiter": cfg.max_refine_iterations,
-                "adaptive": False,
-            },
-        )
-        if -res.fun > best_val:
-            best_val = -float(res.fun)
-            best_x = np.asarray(res.x, dtype=float)
-
-    ua = _basis_columns(best_x[0], best_x[1])
-    ub = _basis_columns(best_x[2], best_x[3])
-    q0 = _outcome_probs(rho0.mat, ua, ub)
-    q1 = _outcome_probs(rho1.mat, ua, ub)
-    assignment = np.where(priors.p0 * q0 >= priors.p1 * q1, 0, 1)
-    measurement = ProductMeasurement(
-        alice_basis=ua.T.copy(), bob_basis=ub.T.copy(), assignment=assignment
-    )
-    value = product_success_probability(measurement, rho0, rho1, priors)
-    return measurement, value
+    ua, ub = _basis(alice), _basis(bob)
+    kets = kron(ua, ub)  # rows: the product kets, Alice's outcome major
+    q0, q1 = (np.einsum("oj,jk,ok->o", kets.conj(), r.mat, kets).real for r in (rho0, rho1))
+    assignment = np.where(priors.p0 * q0 >= priors.p1 * q1, 0, 1).reshape(2, 2)
+    measurement = ProductMeasurement(alice_basis=ua, bob_basis=ub, assignment=assignment)
+    return measurement, product_success_probability(measurement, rho0, rho1, priors)
 
 
 def advantage(

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -44,6 +46,10 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, {"experiment": "pair", "bogus_knob": 1})
     with pytest.raises(ConfigError, match="bogus_knob"):
         load_config(path, overrides={})
+    # grid and curve rows run in one plain loop; there is no worker count
+    path = write_config(tmp_path, {"experiment": "grid", "master_seed": 1, "workers": 4})
+    with pytest.raises(ConfigError, match=r"unknown config keys \['workers'\]"):
+        load_config(path, overrides={})
 
 
 def test_load_config_requires_experiment(tmp_path):
@@ -83,17 +89,35 @@ def test_sampling_experiments_require_master_seed(tmp_path):
         {"experiment": "pair", "master_seed": 1, "noise_v": 1.5},
         {"experiment": "pair", "master_seed": 1, "n_events": 0},
         {"experiment": "pair", "master_seed": 1, "format": "xml"},
-        {"experiment": "pair", "master_seed": 1, "workers": 0},
+        {"experiment": "pair", "master_seed": 1, "theta0_deg": "30"},
         {"experiment": "pair", "master_seed": 1, "state": "ghz"},
         {"experiment": "pair", "master_seed": -3},
         {"experiment": "pair", "master_seed": 1, "eta_min_deg": 30.0, "eta_max_deg": 10.0},
         {"experiment": "warp"},
+        # more values of the wrong JSON type
+        {"experiment": "pair", "master_seed": 1, "n_events": True},
+        {"experiment": "pair", "master_seed": True},
+        {"experiment": "pair", "master_seed": 1, "noise_v": False},
+        {"experiment": "pair", "master_seed": 1, "n_events": 1000.5},
+        {"experiment": "pair", "master_seed": 1, "eta_deg": [10.0]},
+        {"experiment": "pair", "master_seed": 1, "state": 3},
+        {"experiment": "pair", "master_seed": 1, "optimizer": [24]},
+        {"experiment": "pair", "master_seed": 1, "optimizer": {"polar_points": "24"}},
+        {"experiment": "pair", "master_seed": 1, "optimizer": {"refine_starts": True}},
+        {"experiment": "tomo", "master_seed": 1, "mle": {"max_iterations": 10.0}},
     ],
 )
 def test_validate_rejects_out_of_range_values(tmp_path, bad):
     path = write_config(tmp_path, bad)
     with pytest.raises(ConfigError):
         load_config(path, overrides={})
+
+
+def test_load_config_accepts_integers_for_numbers(tmp_path):
+    path = write_config(
+        tmp_path, {"experiment": "pair", "master_seed": 1, "theta0_deg": 30, "eta_deg": None}
+    )
+    assert load_config(path, overrides={}).theta0_deg == 30
 
 
 def test_config_echo_omits_output_path():
@@ -116,7 +140,6 @@ def test_exit_code_0_and_schema_for_every_experiment(tmp_path, capsys):
             "n_events": 500,
             "grid_step_deg": 45.0,
             "optimizer": LIGHT_OPT,
-            "workers": 2,
         },
         "curve": {
             "master_seed": 8,
@@ -150,6 +173,13 @@ def test_exit_code_2_missing_seed(tmp_path, capsys):
     assert "master_seed" in err
 
 
+def test_exit_code_2_wrong_value_type(tmp_path, capsys):
+    code, _, err = run_cli(tmp_path, capsys, "pair", {"theta0_deg": "30", "master_seed": 7})
+    assert code == 2
+    assert "config error" in err
+    assert "theta0_deg" in err
+
+
 def test_exit_code_2_missing_file(tmp_path, capsys):
     code = main(["pair", "--config", str(tmp_path / "absent.json")])
     assert code == 2
@@ -164,6 +194,15 @@ def test_exit_code_3_numerical_failure(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT})
     assert code == 3
     assert "numerical failure" in err
+
+
+def test_program_errors_are_not_reported_as_config_errors(tmp_path, capsys, monkeypatch):
+    def broken(cfg):
+        raise ValueError("deliberate program bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "optimize", broken)
+    with pytest.raises(ValueError, match="deliberate program bug"):
+        run_cli(tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT})
 
 
 # ---------------------------------------------------------------- overrides
@@ -242,18 +281,6 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_grid_results_independent_of_worker_count(tmp_path, capsys):
-    base = {
-        "master_seed": 5,
-        "n_events": 500,
-        "grid_step_deg": 45.0,
-        "optimizer": LIGHT_OPT,
-    }
-    _, serial, _ = run_cli(tmp_path, capsys, "grid", {**base, "workers": 1})
-    _, threaded, _ = run_cli(tmp_path, capsys, "grid", {**base, "workers": 4})
-    assert json.loads(serial)["results"] == json.loads(threaded)["results"]
-
-
 # ---------------------------------------------------------------- csv output
 
 
@@ -305,3 +332,18 @@ def test_curve_rows_cover_eta_grid(tmp_path, capsys):
     for r in rows:
         assert r["helstrom_ideal"] >= r["no_ff_ideal"] - 1e-9
         assert 0.0 <= r["estimate"]["p_avg"] <= 1.0
+    # the grid is min + i * step with an integer count, and never passes max
+    fine = {**config, "eta_min_deg": 0.1, "eta_max_deg": 0.3, "eta_step_deg": 0.1}
+    code, out, _ = run_cli(tmp_path, capsys, "curve", fine)
+    assert code == 0
+    assert [r["eta_deg"] for r in json.loads(out)["results"]["rows"]] == [0.1, 0.2, 0.3]
+
+
+# ---------------------------------------------------------------- dependencies
+
+
+def test_importing_the_package_does_not_import_scipy():
+    src = str(Path(qdiscrim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import qdiscrim, qdiscrim.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -284,6 +284,79 @@ def test_optimizer_reproducible_bit_for_bit():
     assert np.array_equal(m1.assignment, m2.assignment)
 
 
+def _alice_kets(dirs: np.ndarray):
+    t = np.arccos(np.clip(dirs[:, 2], -1.0, 1.0))
+    p = np.arctan2(dirs[:, 1], dirs[:, 0])
+    ket = np.stack([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)], axis=1)
+    return ket, np.stack([-ket[:, 1].conj(), ket[:, 0].conj()], axis=1)
+
+
+def brute_force_success(rho0, rho1, priors, alice_dirs: np.ndarray) -> np.ndarray:
+    """Success for each Alice Bloch direction, with Bob's basis the best
+    eigenbasis of his two conditional operators, their sum or their
+    difference, scored by explicit projections."""
+    d = (priors.p0 * rho0.mat - priors.p1 * rho1.mat).reshape(2, 2, 2, 2)
+    sides = [np.einsum("ga,abce,gc->gbe", k.conj(), d, k) for k in _alice_kets(alice_dirs)]
+    best = np.zeros(len(alice_dirs))
+    for op in (sides[0], sides[1], sides[0] + sides[1], sides[0] - sides[1]):
+        _, bob = np.linalg.eigh(op)
+        diag = [np.einsum("gbt,gbe,get->gt", bob.conj(), side, bob) for side in sides]
+        best = np.maximum(best, 0.5 + 0.5 * sum(np.abs(x).sum(axis=1) for x in diag))
+    return best
+
+
+def dense_no_ff_search(rho0, rho1, priors=EQUAL_PRIORS) -> float:
+    """Best no-feed-forward success found on a 1-degree sphere grid of Alice
+    directions, refined by shrinking 21 x 21 patches around the best points."""
+    t, p = np.meshgrid(
+        np.radians(np.arange(181.0)), np.radians(np.arange(360.0)), indexing="ij"
+    )
+    dirs = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], -1)
+    dirs = dirs.reshape(-1, 3)
+    vals = brute_force_success(rho0, rho1, priors, dirs)
+    u = np.linspace(-1.0, 1.0, 21)
+    offsets = np.stack(np.meshgrid(u, u, indexing="ij"), -1).reshape(-1, 2)
+    best = float(vals.max())
+    for m in dirs[np.argsort(-vals)[:4]]:
+        for scale in (3e-2, 3e-3, 3e-4, 3e-5, 3e-6):
+            e1 = np.cross(m, [1.0, 0.0, 0.0] if abs(m[0]) < 0.9 else [0.0, 1.0, 0.0])
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(m, e1)
+            cand = m + scale * (offsets[:, :1] * e1 + offsets[:, 1:] * e2)
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            cand_vals = brute_force_success(rho0, rho1, priors, cand)
+            m = cand[np.argmax(cand_vals)]
+            best = max(best, float(cand_vals.max()))
+    return best
+
+
+@pytest.mark.parametrize(
+    "theta0, theta1", [(89.78, 1.06), (0.22, 1.06), (0.22, 88.94), (89.78, 88.94)]
+)
+def test_optimizer_finds_optimum_near_product_corners(theta0, theta1):
+    # Near pairs of product states a grid + simplex search once stopped short
+    # by up to 1.5e-4 (0.977392 at the first corner).  On the coarse LIGHT
+    # grid, zooms from grid points alone stop 1e-6 short at two corners.
+    rho0 = werner_noise(phi0(theta0), 0.9551)
+    rho1 = werner_noise(phi1(theta1), 0.9551)
+    reference = dense_no_ff_search(rho0, rho1)
+    for config in (None, LIGHT):
+        _, value = optimize_local_projective(rho0, rho1, config=config)
+        assert value >= reference - 1e-12
+        assert value <= helstrom_bound(rho0, rho1) + 1e-12
+        if (theta0, theta1) == (89.78, 1.06):
+            assert value >= 0.97754
+
+
+def test_optimizer_matches_dense_search_on_random_pairs(rng):
+    for rank, priors in ((4, EQUAL_PRIORS), (2, PriorPair(0.3, 0.7)), (1, PriorPair(0.6, 0.4))):
+        r0, r1 = random_density(rng, rank), random_density(rng, rank)
+        meas, value = optimize_local_projective(r0, r1, priors)
+        assert value >= dense_no_ff_search(r0, r1, priors) - 1e-12
+        assert value <= helstrom_bound(r0, r1, priors) + 1e-12
+        assert value == product_success_probability(meas, r0, r1, priors)
+
+
 def test_optimizer_config_json_roundtrip():
     cfg = OptimizerConfig(polar_points=10, azimuth_points=6)
     again = OptimizerConfig.from_json(cfg.to_json())
