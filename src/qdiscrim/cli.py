@@ -23,6 +23,7 @@ import os
 import sys
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -188,9 +189,21 @@ def load_config(path: str, overrides: dict) -> ExperimentConfig:
 
 
 def _row_seeds(master_seed: int, row_index: int) -> tuple[int, int]:
-    """Two sampling seeds for a table row: disjoint across rows by construction."""
-    row_seed = int(master_seed) + row_index
-    return 2 * row_seed, 2 * row_seed + 1
+    """Two sampling seeds for a table row, drawn from the NumPy seed sequence
+    of (master_seed, row_index), so no two rows of any masters share a stream."""
+    state = np.random.SeedSequence([int(master_seed), row_index]).generate_state(2)
+    return int(state[0]), int(state[1])
+
+
+def _decimal_range(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi, added in decimal so that steps such as 0.1
+    and 0.9 land on 0.3 and 11.7, not on their binary neighbours.
+
+    A point within 1e-9 steps past hi counts and is set to hi.
+    """
+    lo_d, hi_d, step_d = (Decimal(repr(float(x))) for x in (lo, hi, step))
+    count = int((hi_d - lo_d) / step_d + Decimal("1e-9"))
+    return [float(min(lo_d + i * step_d, hi_d)) for i in range(count + 1)]
 
 
 def _pair_row(theta0: float, theta1: float, cfg: ExperimentConfig, row_index: int) -> dict:
@@ -227,8 +240,8 @@ def run_pair(cfg: ExperimentConfig) -> dict:
 
 def run_grid(cfg: ExperimentConfig) -> dict:
     """Sweep the orthogonal family over a square angle grid."""
-    values = np.arange(0.0, 90.0 + cfg.grid_step_deg / 2.0, cfg.grid_step_deg)
-    pairs = [(float(t0), float(t1)) for t0 in values for t1 in values]
+    values = _decimal_range(0.0, 90.0, cfg.grid_step_deg)
+    pairs = [(t0, t1) for t0 in values for t1 in values]
     return {"rows": [_pair_row(t0, t1, cfg, row) for row, (t0, t1) in enumerate(pairs)]}
 
 
@@ -268,10 +281,8 @@ def run_curve(cfg: ExperimentConfig) -> dict:
     best no-feed-forward measurement, for ideal and noisy preparations;
     sampled estimates use the configured event budget.
     """
-    lo, hi, step = cfg.eta_min_deg, cfg.eta_max_deg, cfg.eta_step_deg
-    # An integer count, and no point past eta_max_deg from rounding.
-    etas = [min(lo + i * step, hi) for i in range(int((hi - lo) / step + 1e-9) + 1)]
-    return {"rows": [_curve_row(float(eta), cfg, i) for i, eta in enumerate(etas)]}
+    etas = _decimal_range(cfg.eta_min_deg, cfg.eta_max_deg, cfg.eta_step_deg)
+    return {"rows": [_curve_row(eta, cfg, i) for i, eta in enumerate(etas)]}
 
 
 def _tomo_target(cfg: ExperimentConfig) -> PureState2Q:

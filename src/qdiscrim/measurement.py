@@ -39,6 +39,18 @@ _TOMO_KETS = {
 POVM_COMPLETENESS_ATOL = 1e-9
 
 
+TOMO_LABELS = tuple((a, b) for a in TOMO_BASIS_LABELS for b in TOMO_BASIS_LABELS)
+_TOMO_PROJECTORS = np.stack(
+    [kron(projector(_TOMO_KETS[a]), projector(_TOMO_KETS[b])) for a, b in TOMO_LABELS]
+)
+_TOMO_PROJECTORS.flags.writeable = False
+# The tomography design matrix, built once and read-only: the (36, 16) complex
+# projector stack viewed as float64, so that TOMO_DESIGN @ M.reshape(16).view(float)
+# is Re Tr(Pi_s M) for every setting s (each Pi_s is Hermitian), and c @ TOMO_DESIGN,
+# viewed back as complex, is sum_s c_s Pi_s for real weights c.
+TOMO_DESIGN = _TOMO_PROJECTORS.reshape(36, 16).view(np.float64)
+
+
 @dataclass(frozen=True)
 class CoincidenceCounts:
     """Event counts of one discrimination run (single prepared state)."""
@@ -145,10 +157,9 @@ class TomographyRecord:
     @classmethod
     def from_counts(cls, counts, exposure=None) -> "TomographyRecord":
         """Record in canonical setting order with optional exposures."""
-        labels = [label for label, _ in tomography_settings()]
         if exposure is None:
             exposure = np.ones(36)
-        return cls(labels=tuple(labels), counts=counts, exposure=exposure)
+        return cls(labels=TOMO_LABELS, counts=counts, exposure=exposure)
 
     def to_json(self) -> dict:
         return {
@@ -264,14 +275,15 @@ def tomography_settings() -> list[tuple[tuple[str, str], np.ndarray]]:
 
     Order is (H, V, D, A, R, L) on Alice crossed with the same sequence on
     Bob; the spanned design matrix has full rank 16, so the setting set is
-    tomographically complete.
+    tomographically complete.  The matrices are copies of the cached ones,
+    so a caller may change them freely.
     """
-    settings = []
-    for a in TOMO_BASIS_LABELS:
-        for b in TOMO_BASIS_LABELS:
-            mat = kron(projector(_TOMO_KETS[a]), projector(_TOMO_KETS[b]))
-            settings.append(((a, b), mat))
-    return settings
+    return [(label, mat.copy()) for label, mat in zip(TOMO_LABELS, _TOMO_PROJECTORS)]
+
+
+def setting_probabilities(mat: np.ndarray, design: np.ndarray = TOMO_DESIGN) -> np.ndarray:
+    """Re Tr(Pi_s mat) for every row s of a tomography design matrix."""
+    return design @ np.ascontiguousarray(mat, dtype=complex).reshape(16).view(np.float64)
 
 
 def simulate_tomography(
@@ -281,8 +293,6 @@ def simulate_tomography(
     if n_per_setting <= 0:
         raise ValueError(f"n_per_setting must be positive, got {n_per_setting}")
     rng = np.random.default_rng(int(seed))
-    counts = []
-    for _, mat in tomography_settings():
-        p = max(float(np.trace(rho.mat @ mat).real), 0.0)
-        counts.append(int(rng.poisson(n_per_setting * p)))
-    return TomographyRecord.from_counts(np.array(counts))
+    probs = np.clip(setting_probabilities(rho.mat), 0.0, None)
+    # One array draw takes the same stream, setting by setting, as 36 scalar draws.
+    return TomographyRecord.from_counts(rng.poisson(n_per_setting * probs))

@@ -4,14 +4,24 @@ The likelihood is Poissonian: counts n_s at setting s have mean
 N_s Tr(rho Pi_s), where N_s is the per-setting flux: exposure times the
 source intensity inferred from the record's total counts (exact for
 uniform exposures because the 36 projectors sum to 9 I).  Reconstruction
-iterates the diluted R rho R fixed point
+iterates the diluted R rho R fixed point (Rehacek, Hradil, Jezek, PRA 63,
+040303(R) (2001))
 
-    rho <- normalise[(1 - d) rho + d R rho R / tr(R rho R)],
-    R = sum_s (n_s / p_s) Pi_s,
+    rho <- (1 - d) rho + d R rho R / tr(R rho R),
+    R = sum_s (n_s / n p_s) Pi_s,   n = sum_s n_s,
 
 which preserves positivity and unit trace at every step; the dilution d is
 halved whenever a candidate would lower the log-likelihood, so the accepted
 sequence is non-decreasing by construction.
+
+All projector arithmetic goes through the read-only design matrix D that
+``measurement`` builds once (TOMO_DESIGN, rows in the record's setting
+order): the probabilities are p = D rho, and R is (n_s / n p_s) D.  With
+M = R rho R, the update is taken as M + M^dagger over its trace, which is
+Hermitian by construction, and its probabilities are computed once per
+iteration.  The probabilities are linear in rho, so the dilution line
+search mixes probability vectors, (1 - d) p + d p_pushed, instead of
+matrices, and the accepted vector carries into the next iteration.
 """
 
 from __future__ import annotations
@@ -21,9 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ConvergenceFailure
-from .linalg import dagger
-from .measurement import TomographyRecord, tomography_settings
-from .serialize import complex_to_pairs
+from .measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
 from .states import DensityMatrix2Q, PureState2Q, fidelity_pure
 
 _PROB_FLOOR = 1e-15
@@ -37,8 +45,6 @@ class MLEConfig:
     max_iterations: int = 5000
     ll_tolerance: float = 1e-10
     dilution: float = 0.5
-    # Audit note: the likelihood model the solver maximises.
-    likelihood_model: str = "poisson"
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -91,11 +97,14 @@ class MLEResult:
         return "\n".join(lines) + "\n"
 
 
+_DESIGN_ROW = {label: s for s, label in enumerate(TOMO_LABELS)}
+
+
 def _record_arrays(record: TomographyRecord):
-    by_label = {label: mat for label, mat in tomography_settings()}
-    projs = np.stack([by_label[label] for label in record.labels])
+    """Design rows in the record's setting order, counts and exposures."""
+    design = TOMO_DESIGN[[_DESIGN_ROW[label] for label in record.labels]]
     counts = record.counts.astype(float)
-    return projs, counts, record.exposure
+    return design, counts, record.exposure
 
 
 def _fluxes(counts: np.ndarray, exposure: np.ndarray) -> np.ndarray:
@@ -105,18 +114,21 @@ def _fluxes(counts: np.ndarray, exposure: np.ndarray) -> np.ndarray:
     return exposure * intensity
 
 
+def _ll_of_probs(probs: np.ndarray, counts: np.ndarray, fluxes: np.ndarray) -> float:
+    return float(
+        (counts * np.log(np.maximum(probs, _PROB_FLOOR)) - fluxes * probs).sum()
+    )
+
+
 def log_likelihood(rho: DensityMatrix2Q, record: TomographyRecord) -> float:
     """Poisson log-likelihood sum_s [n_s ln p_s - N_s p_s] (rho-dependent part).
 
     Probabilities are floored at 1e-15 inside the logarithm so boundary
     states with exact zeros stay comparable.
     """
-    projs, counts, exposure = _record_arrays(record)
-    probs = np.einsum("sij,ji->s", projs, rho.mat).real
-    fluxes = _fluxes(counts, exposure)
-    return float(
-        (counts * np.log(np.clip(probs, _PROB_FLOOR, None)) - fluxes * probs).sum()
-    )
+    design, counts, exposure = _record_arrays(record)
+    probs = setting_probabilities(rho.mat, design)
+    return _ll_of_probs(probs, counts, _fluxes(counts, exposure))
 
 
 def mle_reconstruct(
@@ -133,43 +145,38 @@ def mle_reconstruct(
     after every accepted step.
     """
     cfg = config or MLEConfig()
-    projs, counts, exposure = _record_arrays(record)
+    design, counts, exposure = _record_arrays(record)
     total = counts.sum()
     if total == 0:
         # No events: the likelihood is flat, every state is maximal.
         rho = DensityMatrix2Q(np.eye(4, dtype=complex) / 4.0)
         return MLEResult(rho=rho, log_likelihood=0.0, iterations=0, converged=True)
     fluxes = _fluxes(counts, exposure)
-
-    def ll_of(mat: np.ndarray) -> float:
-        probs = np.einsum("sij,ji->s", projs, mat).real
-        return float(
-            (counts * np.log(np.clip(probs, _PROB_FLOOR, None)) - fluxes * probs).sum()
-        )
+    weights = counts / total
 
     rho = np.eye(4, dtype=complex) / 4.0
-    ll = ll_of(rho)
+    probs = setting_probabilities(rho, design)
+    ll = _ll_of_probs(probs, counts, fluxes)
     dilution = cfg.dilution
     accepted_streak = 0
     iterations = 0
     converged = False
 
     for iterations in range(1, cfg.max_iterations + 1):
-        probs = np.einsum("sij,ji->s", projs, rho).real
-        ratios = counts / np.clip(probs, _PROB_FLOOR, None)
-        r = np.einsum("s,sij->ij", ratios / total, projs)
-        pushed = r @ rho @ r
+        r = ((weights / np.maximum(probs, _PROB_FLOOR)) @ design).view(complex)
+        r = r.reshape(4, 4)
+        m = r @ rho @ r
+        pushed = m + m.conj().T
         pushed_trace = float(pushed.trace().real)
         if pushed_trace <= 0.0:
             raise ConvergenceFailure("R rho R collapsed to zero trace")
-        pushed = pushed / pushed_trace
+        pushed /= pushed_trace
+        pushed_probs = setting_probabilities(pushed, design)
 
         accepted = False
         while dilution >= _MIN_DILUTION:
-            candidate = (1.0 - dilution) * rho + dilution * pushed
-            candidate = (candidate + dagger(candidate)) / 2.0
-            candidate = candidate / candidate.trace().real
-            ll_new = ll_of(candidate)
+            candidate_probs = (1.0 - dilution) * probs + dilution * pushed_probs
+            ll_new = _ll_of_probs(candidate_probs, counts, fluxes)
             if ll_new >= ll:
                 accepted = True
                 break
@@ -183,7 +190,8 @@ def mle_reconstruct(
             break
 
         change = ll_new - ll
-        rho, ll = candidate, ll_new
+        rho = (1.0 - dilution) * rho + dilution * pushed
+        probs, ll = candidate_probs, ll_new
         accepted_streak += 1
         if accepted_streak >= 10 and dilution != cfg.dilution:
             dilution = cfg.dilution

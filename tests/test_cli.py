@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import qdiscrim
@@ -50,6 +51,13 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(tmp_path, {"experiment": "grid", "master_seed": 1, "workers": 4})
     with pytest.raises(ConfigError, match=r"unknown config keys \['workers'\]"):
         load_config(path, overrides={})
+    # the MLE has one likelihood model, so there is no key to name it
+    path = write_config(
+        tmp_path, {"experiment": "tomo", "master_seed": 1, "mle": {"likelihood_model": "poisson"}}
+    )
+    with pytest.raises(ConfigError, match="likelihood_model"):
+        load_config(path, overrides={})
+    assert main(["tomo", "--config", path]) == 2
 
 
 def test_load_config_requires_experiment(tmp_path):
@@ -126,7 +134,7 @@ def test_config_echo_omits_output_path():
     assert "output_path" not in echo
     assert echo["experiment"] == "optimize"
     assert echo["optimizer"]["polar_points"] == 24
-    assert echo["mle"]["likelihood_model"] == "poisson"
+    assert echo["mle"] == {"max_iterations": 5000, "ll_tolerance": 1e-10, "dilution": 0.5}
 
 
 # ---------------------------------------------------------------- exit codes
@@ -214,7 +222,16 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["config"]["master_seed"] == 19
-    assert report["results"]["pair"]["seeds"] == {"state0": 38, "state1": 39}
+    derived = np.random.SeedSequence([19, 0]).generate_state(2).tolist()
+    assert report["results"]["pair"]["seeds"] == {"state0": derived[0], "state1": derived[1]}
+    assert cli._row_seeds(19, 0) != cli._row_seeds(11, 0)
+
+
+def test_row_seeds_are_distinct_across_masters_and_rows():
+    # no two rows of any two masters may share a sampling stream
+    seeds = [s for m in range(21) for row in range(49) for s in cli._row_seeds(m, row)]
+    assert len(set(seeds)) == len(seeds) == 21 * 49 * 2
+    assert all(type(s) is int for s in seeds)
 
 
 def test_seed_flag_satisfies_seed_requirement(tmp_path, capsys):
@@ -332,11 +349,26 @@ def test_curve_rows_cover_eta_grid(tmp_path, capsys):
     for r in rows:
         assert r["helstrom_ideal"] >= r["no_ff_ideal"] - 1e-9
         assert 0.0 <= r["estimate"]["p_avg"] <= 1.0
-    # the grid is min + i * step with an integer count, and never passes max
-    fine = {**config, "eta_min_deg": 0.1, "eta_max_deg": 0.3, "eta_step_deg": 0.1}
-    code, out, _ = run_cli(tmp_path, capsys, "curve", fine)
-    assert code == 0
-    assert [r["eta_deg"] for r in json.loads(out)["results"]["rows"]] == [0.1, 0.2, 0.3]
+    # the grid is min + i * step with an integer count, added in decimal so
+    # that interior points do not drift, and it never passes max
+    for lo, hi, expected in ((0.1, 0.3, [0.1, 0.2, 0.3]),
+                             (0.0, 0.5, [0.0, 0.1, 0.2, 0.3, 0.4, 0.5])):
+        fine = {**config, "eta_min_deg": lo, "eta_max_deg": hi, "eta_step_deg": 0.1}
+        code, out, _ = run_cli(tmp_path, capsys, "curve", fine)
+        assert code == 0
+        assert [r["eta_deg"] for r in json.loads(out)["results"]["rows"]] == expected
+
+
+def test_grid_points_are_exact_decimals(monkeypatch):
+    monkeypatch.setattr(
+        cli, "_pair_row", lambda t0, t1, cfg, row: {"theta0_deg": t0, "theta1_deg": t1}
+    )
+    cfg = ExperimentConfig(experiment="grid", grid_step_deg=0.9, master_seed=1)
+    rows = cli.run_grid(cfg)["rows"]
+    values = [r["theta1_deg"] for r in rows[:101]]
+    assert len(rows) == 101 * 101
+    assert values[13] == 11.7 and values[26] == 23.4
+    assert values == [float(f"{0.9 * i:.1f}") for i in range(101)]
 
 
 # ---------------------------------------------------------------- dependencies

@@ -16,7 +16,7 @@ from qdiscrim import (
     trace_norm,
     werner_noise,
 )
-from qdiscrim.measurement import TomographyRecord
+from qdiscrim.measurement import TomographyRecord, tomography_settings
 
 from conftest import noiseless_record, random_density
 
@@ -163,3 +163,111 @@ def test_fidelity_report_and_result_serialisation():
     real_block = csv_text.split("# real part\n")[1].split("# imaginary part")[0]
     first_row = [float(x) for x in real_block.strip().splitlines()[0].split(",")]
     assert first_row == pytest.approx(list(result.rho.mat[0].real))
+
+
+# ---------------------------------------------------------------- design-matrix rewrite
+
+
+def _reference_simulate(rho, n_per_setting, seed):
+    """Per-setting scalar Poisson draws, the loop the array draw replaced."""
+    rng = np.random.default_rng(seed)
+    counts = []
+    for _, mat in tomography_settings():
+        p = max(float(np.trace(rho.mat @ mat).real), 0.0)
+        counts.append(int(rng.poisson(n_per_setting * p)))
+    return np.array(counts)
+
+
+def _reference_mle(record, cfg=MLEConfig()):
+    """The diluted R rho R loop on matrices, with einsum over the projector stack."""
+    by_label = dict(tomography_settings())
+    projs = np.stack([by_label[label] for label in record.labels])
+    counts = record.counts.astype(float)
+    total = counts.sum()
+    fluxes = record.exposure * 4.0 * total / record.exposure.sum()
+
+    def ll_of(mat):
+        probs = np.einsum("sij,ji->s", projs, mat).real
+        return float((counts * np.log(np.clip(probs, 1e-15, None)) - fluxes * probs).sum())
+
+    rho = np.eye(4, dtype=complex) / 4.0
+    ll = ll_of(rho)
+    dilution, streak, iterations = cfg.dilution, 0, 0
+    for iterations in range(1, cfg.max_iterations + 1):
+        probs = np.einsum("sij,ji->s", projs, rho).real
+        r = np.einsum("s,sij->ij", counts / np.clip(probs, 1e-15, None) / total, projs)
+        pushed = r @ rho @ r
+        pushed = pushed / pushed.trace().real
+        accepted = False
+        while dilution >= 1e-12:
+            candidate = (1.0 - dilution) * rho + dilution * pushed
+            candidate = (candidate + candidate.conj().T) / 2.0
+            candidate = candidate / candidate.trace().real
+            ll_new = ll_of(candidate)
+            if ll_new >= ll:
+                accepted = True
+                break
+            dilution /= 2.0
+            streak = 0
+        if not accepted:
+            iterations -= 1
+            break
+        change = ll_new - ll
+        rho, ll = candidate, ll_new
+        streak += 1
+        if streak >= 10 and dilution != cfg.dilution:
+            dilution, streak = cfg.dilution, 0
+        if change <= cfg.ll_tolerance * max(1.0, abs(ll)):
+            break
+    return rho, ll, iterations
+
+
+def _equivalence_records():
+    """Seeded simulated records of rank 1, 2 and 4 at 1e3 to 1e5 counts per
+    setting, one noiseless uniform record and one with non-uniform exposures."""
+    records = []
+    for k, (rank, n_per_setting) in enumerate(
+        (rank, n) for rank in (1, 2, 4) for n in (10**3, 10**4, 10**5)
+    ):
+        rho = random_density(np.random.default_rng(100 + k), rank=rank)
+        records.append(("simulated", rho, n_per_setting, 500 + k))
+    for k, state in enumerate((werner_noise(phi0(30.0), 0.956), werner_noise(BELL, 0.98),
+                               HH.density())):
+        records.append(("simulated", state, 10**4, 600 + k))
+    truth = random_density(np.random.default_rng(7), rank=4)
+    records.append(("noiseless", noiseless_record(truth, 10**5), None, None))
+    probs = np.array([np.trace(truth.mat @ mat).real for _, mat in tomography_settings()])
+    exposure = np.random.default_rng(8).uniform(0.5, 2.0, size=36)
+    counts = np.rint(10**5 * exposure * probs).astype(int)
+    records.append(("exposure", TomographyRecord.from_counts(counts, exposure), None, None))
+    return records
+
+
+@pytest.mark.parametrize("case", range(14))
+def test_design_matrix_mle_matches_matrix_reference(case):
+    kind, item, n_per_setting, seed = _equivalence_records()[case]
+    if kind == "simulated":
+        record = simulate_tomography(item, n_per_setting, seed)
+        assert np.array_equal(record.counts, _reference_simulate(item, n_per_setting, seed))
+    else:
+        record = item
+    rho, ll, iterations = _reference_mle(record)
+    result = mle_reconstruct(record)
+    assert abs(result.iterations - iterations) <= 1
+    assert np.abs(result.rho.mat - rho).max() < 1e-12
+    assert result.log_likelihood == pytest.approx(ll, rel=1e-12)
+    assert log_likelihood(result.rho, record) == pytest.approx(ll, rel=1e-12)
+
+
+def test_tomography_settings_returns_copies():
+    record = simulate_tomography(werner_noise(BELL, 0.98), 10**4, seed=3)
+    before = mle_reconstruct(record)
+    expected = [(label, mat.copy()) for label, mat in tomography_settings()]
+    for _, mat in tomography_settings():
+        mat[:] = 0.0
+    again = tomography_settings()
+    assert [label for label, _ in again] == [label for label, _ in expected]
+    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(again, expected))
+    after = mle_reconstruct(record)
+    assert np.array_equal(after.rho.mat, before.rho.mat)
+    assert after.log_likelihood == before.log_likelihood
