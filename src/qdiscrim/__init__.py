@@ -23,8 +23,6 @@ from .errors import (
 from .linalg import HermitianEig, hermitian_eig, kron, trace_norm
 from .states import (
     DensityMatrix2Q,
-    NonOrthPairSpec,
-    OrthPairSpec,
     PureState2Q,
     apply_local,
     fidelity_pure,
@@ -89,13 +87,11 @@ __all__ = [
     "InvalidProtocolError",
     "MLEConfig",
     "MLEResult",
-    "NonOrthPairSpec",
     "NotHermitianError",
     "NotOrthogonalError",
     "NotTracelessError",
     "NotUnitaryError",
     "OptimizerConfig",
-    "OrthPairSpec",
     "PriorPair",
     "ProductMeasurement",
     "PureState2Q",

@@ -35,9 +35,6 @@ HOLLOW_RESIDUAL = 1e-12
 BASIS_ATOL = 1e-12
 _DEGENERATE_NORM = 1e-10
 
-_HOLLOW_MAX_NEWTON_STEPS = 60
-_HOLLOW_STARTS = 16
-
 
 @dataclass(frozen=True)
 class PriorPair:
@@ -171,14 +168,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def hollow_vector(m: np.ndarray) -> np.ndarray:
     """A unit vector w with <w|m|w> = 0 for a traceless 2x2 matrix m.
 
-    Such a vector always exists: the numerical range of a traceless matrix
-    is an ellipse centred on the origin.  w is parametrised as
-    (cos t, e^{i p} sin t) and the two real equations Re/Im <w|m|w> = 0 are
-    solved by damped Newton iteration from 16 spread starting points; the
-    first root with residual below 1e-12 is returned.
+    Split m = A + iB into Hermitian parts with Bloch vectors a and b, so
+    that <w|m|w> = a.n + i b.n for the Bloch vector n of w.  Then n = a x b /
+    |a x b| makes both terms vanish (Walgate, Short, Hardy, Vedral, PRL 85,
+    4972 (2000)).  When a and b are parallel, or one of them is zero, n is
+    a direction perpendicular to the nonzero one; when m = 0, any unit
+    vector is hollow and w = |H>.  The sign of n is chosen with n_z >= 0, so
+    w's H component is real, positive and at least as large as its V
+    component.  A trace small enough to pass the gate is treated as
+    rounding: w is hollow for m - (tr m / 2) I.
 
-    Raises NotTracelessError when |tr m| > 1e-10 and ConvergenceFailure if
-    every start fails (not observed for valid input).
+    Raises NotTracelessError when |tr m| > 1e-10, and ConvergenceFailure
+    when the residual exceeds 1e-12 of max(1, max |m_ij|) (a postcondition,
+    not observed for valid input).
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
@@ -187,63 +189,29 @@ def hollow_vector(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if abs(m.trace()) > 1e-10:
         raise NotTracelessError(f"|trace| = {abs(m.trace()):.3e} exceeds 1e-10")
+    m = m - (m.trace() / 2.0) * ID2
 
-    def value(t: float, p: float) -> complex:
-        c, s = np.cos(t), np.sin(t)
-        e = np.exp(1j * p)
-        return (
-            m[0, 0] * c * c
-            + m[1, 1] * s * s
-            + (m[0, 1] * e + m[1, 0] * np.conj(e)) * s * c
-        )
+    # m = z.sigma with a, b = Re z, Im z, swapped when Re z = 0 so that a is
+    # zero only when m is.
+    z = np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]]) / 2.0
+    a, b = (z.real, z.imag) if z.real.any() else (z.imag, z.real)
+    n = np.array([0.0, 0.0, 1.0])
+    if a.any():
+        u = a / np.linalg.norm(a)
+        # a x b / |a|, with b's part along a taken out first: the direction then
+        # stays exact to rounding however nearly parallel a and b are.
+        n = np.cross(u, b - (b @ u) * u)
+        if not n.any():  # b is 0 or parallel to a
+            n = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
+        n = np.copysign(1.0, n[2]) * n / np.linalg.norm(n)
+    # The ket of n; with n_z >= 0 no component cancels.
+    w = np.array([1.0 + n[2], n[0] + 1j * n[1]])
+    w = w / np.linalg.norm(w)
 
-    def vec(t: float, p: float) -> np.ndarray:
-        return np.array([np.cos(t), np.exp(1j * p) * np.sin(t)], dtype=complex)
-
-    scale = max(1.0, float(np.abs(m).max()))
-    for t0, p0 in _hollow_starts():
-        t, p = t0, p0
-        f = value(t, p)
-        for _ in range(_HOLLOW_MAX_NEWTON_STEPS):
-            if abs(f) <= HOLLOW_RESIDUAL * scale:
-                return vec(t, p)
-            df_dt = (m[1, 1] - m[0, 0]) * np.sin(2 * t) + (
-                m[0, 1] * np.exp(1j * p) + m[1, 0] * np.exp(-1j * p)
-            ) * np.cos(2 * t)
-            df_dp = (
-                1j
-                * (m[0, 1] * np.exp(1j * p) - m[1, 0] * np.exp(-1j * p))
-                * np.sin(2 * t)
-                / 2.0
-            )
-            jac = np.array(
-                [[df_dt.real, df_dp.real], [df_dt.imag, df_dp.imag]], dtype=float
-            )
-            rhs = -np.array([f.real, f.imag])
-            step, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-            if not np.isfinite(step).all() or np.abs(step).max() == 0.0:
-                break
-            lam = 1.0
-            improved = False
-            for _ in range(25):
-                f_new = value(t + lam * step[0], p + lam * step[1])
-                if abs(f_new) < abs(f):
-                    t, p = t + lam * step[0], p + lam * step[1]
-                    f = f_new
-                    improved = True
-                    break
-                lam *= 0.5
-            if not improved:
-                break
-        if abs(f) <= HOLLOW_RESIDUAL * scale:
-            return vec(t, p)
-    raise ConvergenceFailure("no hollow vector found from any starting point")
-
-
-def _hollow_starts():
-    for k in range(4):
-        for l in range(4):
-            yield (np.pi / 2) * (k + 0.5) / 4.0, 2.0 * np.pi * (l + 0.5) / 4.0
+    residual = abs(np.vdot(w, m @ w))
+    if not residual <= HOLLOW_RESIDUAL * max(1.0, float(np.abs(m).max())):
+        raise ConvergenceFailure(f"hollow-vector residual {residual:.3e} exceeds tolerance")
+    return w
 
 
 def walgate_decompose(phi: PureState2Q, psi: PureState2Q) -> FeedForwardProtocol:

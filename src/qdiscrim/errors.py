@@ -46,4 +46,4 @@ class EmptyCountsError(DiscriminationError):
 
 
 class ConvergenceFailure(DiscriminationError):
-    """An iterative solver exhausted its iteration budget."""
+    """A numerical method missed its tolerance or failed a postcondition."""

@@ -5,9 +5,9 @@ vectors, 2x2 and 4x4 complex matrices.  Two-qubit indices are ordered
 Alice-major, i.e. the product basis is (HH, HV, VH, VV), and ``kron`` takes
 the Alice factor first so that index arithmetic matches that ordering.
 
-The Hermitian eigensolver is a cyclic Jacobi iteration specialised to these
-tiny dimensions; it returns deterministically ordered, phase-fixed
-eigenpairs so that downstream results are reproducible bit for bit.
+The Hermitian eigensolver is LAPACK's, through ``np.linalg.eigh``; on top
+of it ``hermitian_eig`` fixes each eigenvector's phase and totally orders
+the eigenpairs, so that downstream results are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotHermitianError, NotUnitaryError
+from .errors import NotHermitianError, NotUnitaryError
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -37,9 +37,6 @@ ID4 = np.eye(4, dtype=complex)
 NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
-
-_JACOBI_OFF_THRESHOLD = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -111,69 +108,26 @@ class HermitianEig:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    j = int(np.argmax(np.abs(v)))
-    a = v[j]
-    if abs(a) == 0.0:
-        return v
-    return v * (np.conj(a) / abs(a))
+    """The columns of v, each rotated so its largest-magnitude entry is real and positive."""
+    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * (lead.conj() / np.abs(lead))
 
 
 def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> HermitianEig:
-    """Diagonalise a small Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalise a Hermitian matrix with LAPACK's ``np.linalg.eigh``.
 
-    Each sweep zeroes every off-diagonal pivot (p, q) in turn with a complex
-    plane rotation; sweeps repeat until the largest off-diagonal magnitude
-    falls below 1e-14 relative to the input scale.  The iteration cap is 100
-    sweeps, far above what dimension 4 ever needs.
+    The input is checked and symmetrised by require_hermitian.  Each unit
+    eigenvector then gets the phase fix of HermitianEig, and the pairs are
+    sorted by eigenvalue with ties broken by the eigenvectors' real parts,
+    so the result is a deterministic function of the input.
 
-    Raises NotHermitianError for non-Hermitian input and ConvergenceFailure
-    if the cap is exhausted.
+    Raises NotHermitianError for non-Hermitian or non-finite input.
     """
-    a = require_hermitian(m, atol)
-    n = a.shape[0]
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.abs(a).max()))
-    threshold = _JACOBI_OFF_THRESHOLD * scale
-
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                b = a[p, q]
-                if abs(b) <= threshold:
-                    continue
-                # Phase out the pivot, then apply the classical real rotation
-                # with |angle| <= pi/4 (guarantees cyclic-sweep convergence).
-                phase = b / abs(b)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(b))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.hypot(tau, 1.0))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                g = np.eye(n, dtype=complex)
-                g[p, p] = c
-                g[p, q] = s
-                g[q, p] = -np.conj(phase) * s
-                g[q, q] = np.conj(phase) * c
-                a = dagger(g) @ a @ g
-                v = v @ g
-        a = (a + dagger(a)) / 2.0
-    else:
-        raise ConvergenceFailure(
-            f"Jacobi sweeps exhausted ({_JACOBI_MAX_SWEEPS}) before reaching "
-            f"off-diagonal threshold {threshold:.3e}"
-        )
-
-    eigenvalues = np.diag(a).real.copy()
-    vectors = [_fix_phase(v[:, k].copy()) for k in range(n)]
-    order = sorted(range(n), key=lambda k: (eigenvalues[k], tuple(vectors[k].real)))
-    eigenvalues = np.array([eigenvalues[k] for k in order])
-    eigenvectors = np.column_stack([vectors[k] for k in order])
-    return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(m, atol))
+    eigenvectors = _fix_phase(eigenvectors)
+    # lexsort's last key is the primary one: eigenvalue, then components 0, 1, ...
+    order = np.lexsort(np.vstack([eigenvectors.real[::-1], eigenvalues]))
+    return HermitianEig(eigenvalues=eigenvalues[order], eigenvectors=eigenvectors[:, order])
 
 
 def trace_norm(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:

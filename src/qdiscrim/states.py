@@ -132,40 +132,6 @@ class DensityMatrix2Q:
         return cls.from_external(serialize.pairs_to_complex(data, shape=(4, 4)))
 
 
-@dataclass(frozen=True)
-class OrthPairSpec:
-    """Angle parameters (degrees) selecting an orthogonal-family pair."""
-
-    theta0_deg: float
-    theta1_deg: float
-
-    def __post_init__(self):
-        for name in ("theta0_deg", "theta1_deg"):
-            val = float(getattr(self, name))
-            if not np.isfinite(val) or not 0.0 <= val <= 90.0:
-                raise ValueError(f"{name} must lie in [0, 90], got {val}")
-            object.__setattr__(self, name, val)
-
-    def states(self) -> tuple[PureState2Q, PureState2Q]:
-        return phi0(self.theta0_deg), phi1(self.theta1_deg)
-
-
-@dataclass(frozen=True)
-class NonOrthPairSpec:
-    """Overlap-angle parameter (degrees) selecting a non-orthogonal pair."""
-
-    eta_deg: float
-
-    def __post_init__(self):
-        val = float(self.eta_deg)
-        if not np.isfinite(val) or not 0.0 <= val <= 45.0:
-            raise ValueError(f"eta_deg must lie in [0, 45], got {val}")
-        object.__setattr__(self, "eta_deg", val)
-
-    def states(self) -> tuple[PureState2Q, PureState2Q]:
-        return psi_pair(self.eta_deg)
-
-
 def u_state() -> np.ndarray:
     """|u> = sqrt(3)/2 |H> + 1/2 |V>."""
     return np.array([np.sqrt(3.0) / 2.0, 0.5], dtype=complex)

@@ -47,6 +47,19 @@ def scan_min_residual(m: np.ndarray, points: int = 400) -> float:
     return float(np.abs(f).min())
 
 
+def assert_hollow(m: np.ndarray, rel: float = 1e-12) -> None:
+    w = hollow_vector(m)
+    assert abs(np.linalg.norm(w) - 1.0) < 1e-14
+    assert abs(np.vdot(w, m @ w)) <= rel * np.abs(m).max()
+    # n_z >= 0: the H component is real, positive and not the smaller one
+    assert w[0].imag == 0.0 and w[0].real >= abs(w[1]) - 1e-15
+
+
+def random_hermitian_traceless(rng) -> np.ndarray:
+    p, q = rng.normal(), rng.normal() + 1j * rng.normal()
+    return np.array([[p, q], [np.conj(q), -p]])
+
+
 # ---------------------------------------------------------------- hollow
 
 
@@ -58,10 +71,10 @@ def test_hollow_vector_diagonal_case():
 
 
 def test_hollow_vector_nilpotent_case():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    w = hollow_vector(m)
-    assert abs(np.vdot(w, m @ w)) < 1e-12
-    assert abs(np.linalg.norm(w) - 1.0) < 1e-12
+    for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1j, 0.0]])):
+        w = hollow_vector(m)
+        assert abs(np.vdot(w, m @ w)) < 1e-12
+        assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
 
 def test_hollow_vector_residual_on_1000_random_traceless(rng):
@@ -79,10 +92,37 @@ def test_hollow_vector_beats_grid_scan_oracle(rng):
         m = random_traceless(rng)
         w = hollow_vector(m)
         resid = abs(np.vdot(w, m @ w))
-        # the scan proves a root exists nearby; Newton must land far below it
+        # the scan proves a root exists nearby; the closed form must land far below it
         scan = scan_min_residual(m)
         assert resid <= scan + 1e-12
         assert resid < 1e-11
+
+
+def test_hollow_vector_degenerate_splits(rng):
+    assert_hollow(np.zeros((2, 2), dtype=complex))  # m = 0: any unit vector
+    for _ in range(200):
+        h = random_hermitian_traceless(rng)
+        assert_hollow(h)  # b = 0
+        assert_hollow(1j * h)  # a = 0
+        c = rng.normal() + 1j * rng.normal()
+        assert_hollow(c * h)  # a parallel to b
+        # a and b parallel up to a small tilt
+        for tilt in (1e-3, 1e-8, 1e-14):
+            assert_hollow(h + 1j * c.real * (h + tilt * random_hermitian_traceless(rng)))
+
+
+def test_hollow_vector_scaled_inputs(rng):
+    for scale in (1e-9, 1e9):
+        for _ in range(200):
+            p, q, r = rng.normal(size=3) + 1j * rng.normal(size=3)
+            assert_hollow(scale * np.array([[p, q], [r, -p]]))
+
+
+def test_hollow_vector_closed_form_on_10k_random_traceless():
+    rng = np.random.default_rng(8)
+    for _ in range(10_000):
+        p, q, r = rng.normal(size=3) + 1j * rng.normal(size=3)
+        assert_hollow(np.array([[p, q], [r, -p]]))
 
 
 def test_hollow_vector_rejects_traceful_input():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdiscrim import ConvergenceFailure, NotHermitianError, hermitian_eig, kron, trace_norm
+from qdiscrim import NotHermitianError, hermitian_eig, kron, trace_norm
 from qdiscrim.linalg import (
     KET_A,
     KET_D,
@@ -35,8 +35,10 @@ def test_diagonal_and_pauli_z_eigenpairs():
 
 
 def test_eig_matches_independent_solver_on_random_hermitian():
-    # Oracle route: numpy's LAPACK eigensolver, nothing shared with the
-    # Jacobi implementation under test.
+    # hermitian_eig itself runs LAPACK through np.linalg.eigh, so eigvalsh is
+    # no independent oracle here: this checks that the wrapper's phase fix and
+    # sort leave the values alone.  test_eig_recovers_known_spectra is the
+    # independent check.
     rng = np.random.default_rng(91)
     for _ in range(50):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -57,6 +59,56 @@ def test_eig_reconstruction_and_gram_on_1000_random_hermitians():
         gram = eig.eigenvectors.conj().T @ eig.eigenvectors
         assert np.abs(gram - np.eye(4)).max() < 1e-10
         assert (np.diff(eig.eigenvalues) >= -1e-15).all()
+
+
+def _haar_unitary(rng, n: int) -> np.ndarray:
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [
+        (0.1, 0.1, 0.1, 0.7),
+        (1.0, 1.0, 1.0, 1.0),
+        (-1.0, 0.0, 0.5, 2.0),
+        (0.3, -0.2, 0.3, -0.2),
+        (0.0, 0.0, 0.0, 1.0),
+        (-0.5, 0.5),
+    ],
+)
+def test_eig_recovers_known_spectra(spectrum):
+    # Oracle: h = U diag(lambda) U^dagger with U from the QR of a seeded
+    # complex Gaussian, so the eigenvalues and eigenspaces are known exactly.
+    want = np.sort(np.array(spectrum))
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        u = _haar_unitary(rng, len(spectrum))
+        h = (u * np.array(spectrum)) @ u.conj().T
+        eig = hermitian_eig(h)
+        assert np.abs(eig.eigenvalues - want).max() < 1e-12
+        vecs = eig.eigenvectors
+        rebuilt = (vecs * eig.eigenvalues) @ vecs.conj().T
+        assert np.abs(rebuilt - h).max() < 1e-12
+        assert np.abs(vecs.conj().T @ vecs - np.eye(len(spectrum))).max() < 1e-12
+        # each eigenspace, ties included, is the span of U's matching columns
+        for lam in set(spectrum):
+            got_proj = vecs[:, np.abs(eig.eigenvalues - lam) < 1e-9]
+            want_proj = u[:, np.array(spectrum) == lam]
+            assert np.abs(
+                got_proj @ got_proj.conj().T - want_proj @ want_proj.conj().T
+            ).max() < 1e-12
+        for k in range(len(spectrum)):
+            lead = vecs[int(np.argmax(np.abs(vecs[:, k]))), k]
+            assert abs(lead.imag) < 1e-15 and lead.real > 0.0
+        # exact ties are ordered by the eigenvectors' real parts
+        for k in range(len(spectrum) - 1):
+            if eig.eigenvalues[k] == eig.eigenvalues[k + 1]:
+                assert tuple(vecs[:, k].real) <= tuple(vecs[:, k + 1].real)
+        again = hermitian_eig(h.copy())
+        assert np.array_equal(again.eigenvalues, eig.eigenvalues)
+        assert np.array_equal(again.eigenvectors, eig.eigenvectors)
 
 
 def test_eig_phase_fix_makes_leading_component_real_positive():

@@ -4,9 +4,7 @@ import pytest
 from qdiscrim import (
     DensityMatrix2Q,
     InvalidDensityError,
-    NonOrthPairSpec,
     NotUnitaryError,
-    OrthPairSpec,
     PureState2Q,
     apply_local,
     fidelity_pure,
@@ -87,15 +85,6 @@ def test_psi_pair_range_errors():
     for bad in (-1.0, 45.1, np.nan):
         with pytest.raises(ValueError):
             psi_pair(bad)
-
-
-def test_pair_spec_validation():
-    OrthPairSpec(0.0, 90.0)
-    NonOrthPairSpec(45.0)
-    with pytest.raises(ValueError):
-        OrthPairSpec(-5.0, 10.0)
-    with pytest.raises(ValueError):
-        NonOrthPairSpec(50.0)
 
 
 def test_pure_state_validation():
