@@ -304,6 +304,13 @@ def run_tomo(cfg: ExperimentConfig) -> dict:
     rho_true = werner_noise(target, cfg.noise_v)
     record = simulate_tomography(rho_true, cfg.n_per_setting, cfg.master_seed)
     result = mle_reconstruct(record, cfg.mle)
+    if not result.converged:
+        # Outside the report, so that its bytes do not depend on the warning.
+        print(
+            f"discrim: warning: MLE stopped after {result.iterations} iterations at gap "
+            f"{result.gap:.3g}, above gap_tolerance {cfg.mle.gap_tolerance:g}",
+            file=sys.stderr,
+        )
     return {
         "tomo": {
             "state": cfg.state,
@@ -312,6 +319,7 @@ def run_tomo(cfg: ExperimentConfig) -> dict:
             "log_likelihood": result.log_likelihood,
             "iterations": result.iterations,
             "converged": result.converged,
+            "gap": result.gap,
             "fidelity_vs_ideal": fidelity_pure(result.rho, target),
             "overlap_vs_true": _mixed_overlap(result.rho, rho_true),
             "tangle": tangle(result.rho),

@@ -37,6 +37,7 @@ _TOMO_KETS = {
 }
 
 POVM_COMPLETENESS_ATOL = 1e-9
+_ZERO_PROB = 1e-15
 
 
 TOMO_LABELS = tuple((a, b) for a in TOMO_BASIS_LABELS for b in TOMO_BASIS_LABELS)
@@ -236,7 +237,10 @@ def sample_coincidences(
         raise ValueError(f"expected 4 POVM elements, got {len(mats)}")
     _require_complete(mats)
     probs = np.array([float(np.trace(rho.mat @ mat).real) for mat in mats])
-    probs = np.clip(probs, 0.0, None)
+    # An exactly zero probability comes out as rounding noise of either sign;
+    # snap it to 0, since the multinomial draw uses the stream differently for
+    # 0 than for 1e-19 and the counts would follow the last bits of the basis.
+    probs[probs <= _ZERO_PROB] = 0.0
     probs = probs / probs.sum()
     rng = np.random.default_rng(int(seed))
     counts = rng.multinomial(int(n_total), probs)
@@ -287,12 +291,19 @@ def setting_probabilities(mat: np.ndarray, design: np.ndarray = TOMO_DESIGN) -> 
 
 
 def simulate_tomography(
-    rho: DensityMatrix2Q, n_per_setting: int, seed: int
+    rho: DensityMatrix2Q, n_per_setting: int, seed: int, exposure=None
 ) -> TomographyRecord:
-    """Poisson tomography record with mean n_per_setting * Tr(rho Pi_s)."""
+    """Poisson tomography record with mean n_per_setting * e_s * Tr(rho Pi_s).
+
+    ``exposure`` holds the 36 positive e_s in canonical setting order
+    (default all 1) and is stored in the record.
+    """
     if n_per_setting <= 0:
         raise ValueError(f"n_per_setting must be positive, got {n_per_setting}")
+    # An empty record checks the exposures before any draw.
+    exposure = TomographyRecord.from_counts(np.zeros(36, dtype=int), exposure).exposure
     rng = np.random.default_rng(int(seed))
     probs = np.clip(setting_probabilities(rho.mat), 0.0, None)
     # One array draw takes the same stream, setting by setting, as 36 scalar draws.
-    return TomographyRecord.from_counts(rng.poisson(n_per_setting * probs))
+    counts = rng.poisson(n_per_setting * exposure * probs)
+    return TomographyRecord.from_counts(counts, exposure)

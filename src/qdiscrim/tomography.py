@@ -1,27 +1,36 @@
 """Maximum-likelihood state reconstruction from tomography records.
 
-The likelihood is Poissonian: counts n_s at setting s have mean
-N_s Tr(rho Pi_s), where N_s is the per-setting flux: exposure times the
-source intensity inferred from the record's total counts (exact for
-uniform exposures because the 36 projectors sum to 9 I).  Reconstruction
-iterates the diluted R rho R fixed point (Rehacek, Hradil, Jezek, PRA 63,
-040303(R) (2001))
+Counts n_s at setting s are Poisson with mean I e_s Tr(rho Pi_s), where e_s
+is the setting's exposure and I the unknown source intensity.  Fitting I
+with rho (Rehacek, Hradil, Jezek, PRA 63, 040303(R) (2001)) leaves the
+profile log-likelihood
 
-    rho <- (1 - d) rho + d R rho R / tr(R rho R),
-    R = sum_s (n_s / n p_s) Pi_s,   n = sum_s n_s,
+    L(rho) = sum_s n_s ln p_s - N ln(4 sum_s e_s p_s / sum_s e_s) - N,
 
-which preserves positivity and unit trace at every step; the dilution d is
-halved whenever a candidate would lower the log-likelihood, so the accepted
-sequence is non-decreasing by construction.
+p_s = Tr(rho Pi_s), N = sum_s n_s, which for uniform exposures is
+sum_s n_s ln p_s - N because the 36 projectors sum to 9 I.
 
-All projector arithmetic goes through the read-only design matrix D that
-``measurement`` builds once (TOMO_DESIGN, rows in the record's setting
-order): the probabilities are p = D rho, and R is (n_s / n p_s) D.  With
-M = R rho R, the update is taken as M + M^dagger over its trace, which is
-Hermitian by construction, and its probabilities are computed once per
-iteration.  The probabilities are linear in rho, so the dilution line
-search mixes probability vectors, (1 - d) p + d p_pushed, instead of
-matrices, and the accepted vector carries into the next iteration.
+Exposures are weighted once per record.  With G = sum_s e_s Pi_s (positive
+definite) the whitened projectors Pi~_s = e_s G^-1/2 Pi_s G^-1/2 sum to I,
+and L(rho) equals, up to a constant,
+
+    f(tau) = sum_s n_s ln Tr(Pi~_s tau),   rho = G^-1/2 tau G^-1/2 / tr,
+
+over density matrices tau.  The solver is damped Newton on the barrier
+objective f(tau) + mu ln det tau in the 15 real coordinates
+tau = I/4 + sum_k x_k B_k, B_k = sigma_i (x) sigma_j / 2 for (i, j) != (0, 0):
+Armijo backtracking picks each step, a Cholesky factorisation is both the
+positive-definiteness test and ln det, and mu starts at N/4 and drops
+tenfold whenever the Newton decrement falls below 1, down to
+gap_tolerance / 20.  Every iterate is strictly positive definite.
+
+Concavity of f bounds the distance to the maximum (Glancy, Knill, Girard,
+NJP 14, 095017 (2012)):
+
+    max f - f(tau) <= gap = lambda_max(sum_s (n_s / p~_s) Pi~_s) - N,
+
+one 4x4 eigenvalue problem per iterate.  The solver stops as soon as the
+gap is within gap_tolerance, and reports the gap either way.
 """
 
 from __future__ import annotations
@@ -30,29 +39,42 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure
+from .linalg import ID2, PAULI_Y, PAULI_Z, kron
 from .measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
 from .states import DensityMatrix2Q, PureState2Q, fidelity_pure
 
 _PROB_FLOOR = 1e-15
-_MIN_DILUTION = 1e-12
+# Armijo sufficient-increase fraction, and the smallest step tried before the
+# line search gives up (the increase is then below rounding).
+_ARMIJO = 0.25
+_MIN_STEP = 1e-12
+
+_SIGMAS = (ID2, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), PAULI_Y, PAULI_Z)
+# B_0 = I/2 followed by the 15 traceless B_k; Tr(B_k B_l) = delta_kl.
+_PAULI_BASIS = np.stack([kron(a, b) / 2.0 for a in _SIGMAS for b in _SIGMAS])
+_PAULI_BASIS.flags.writeable = False
+_TRACELESS = _PAULI_BASIS[1:]
+_TRACELESS_FLAT = _TRACELESS.reshape(15, 16)
+_MIXED = np.eye(4, dtype=complex) / 4.0
+_MIXED_FLAT = _MIXED.reshape(16)
 
 
 @dataclass(frozen=True)
 class MLEConfig:
-    """Iteration settings for the maximum-likelihood solver."""
+    """Settings of the maximum-likelihood solver.
 
-    max_iterations: int = 5000
-    ll_tolerance: float = 1e-10
-    dilution: float = 0.5
+    ``gap_tolerance`` is in log-likelihood units: the solver stops once the
+    certified distance to the maximum is at most this.
+    """
+
+    max_iterations: int = 200
+    gap_tolerance: float = 1e-2
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        if not 0.0 < self.ll_tolerance < 1.0:
-            raise ValueError("ll_tolerance must lie in (0, 1)")
-        if not 0.0 < self.dilution <= 1.0:
-            raise ValueError("dilution must lie in (0, 1]")
+        if not 0.0 < self.gap_tolerance < np.inf:
+            raise ValueError("gap_tolerance must be positive and finite")
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -67,12 +89,17 @@ class MLEConfig:
 
 @dataclass(frozen=True)
 class MLEResult:
-    """Reconstructed state plus solver diagnostics."""
+    """Reconstructed state plus solver diagnostics.
+
+    ``gap`` bounds how far ``log_likelihood`` lies below the maximum;
+    ``converged`` means it is within the configured tolerance.
+    """
 
     rho: DensityMatrix2Q
     log_likelihood: float
     iterations: int
     converged: bool
+    gap: float
 
     def to_json(self) -> dict:
         return {
@@ -80,6 +107,7 @@ class MLEResult:
             "log_likelihood": self.log_likelihood,
             "iterations": self.iterations,
             "converged": self.converged,
+            "gap": self.gap,
         }
 
     def to_csv(self) -> str:
@@ -88,6 +116,7 @@ class MLEResult:
             f"# log_likelihood={self.log_likelihood!r}",
             f"# iterations={self.iterations}",
             f"# converged={self.converged}",
+            f"# gap={self.gap!r}",
             "# real part",
         ]
         m = self.rho.mat
@@ -107,28 +136,56 @@ def _record_arrays(record: TomographyRecord):
     return design, counts, record.exposure
 
 
-def _fluxes(counts: np.ndarray, exposure: np.ndarray) -> np.ndarray:
-    # Intensity estimate: sum_s e_s p_s = sum(e)/4 for any rho when the
-    # weighted projectors sum to a multiple of the identity (uniform e).
-    intensity = 4.0 * counts.sum() / exposure.sum()
-    return exposure * intensity
-
-
-def _ll_of_probs(probs: np.ndarray, counts: np.ndarray, fluxes: np.ndarray) -> float:
+def _ll_of_probs(probs: np.ndarray, counts: np.ndarray, exposure: np.ndarray) -> float:
+    total = counts.sum()
+    mean_rate = 4.0 * (exposure @ probs) / exposure.sum()
     return float(
-        (counts * np.log(np.maximum(probs, _PROB_FLOOR)) - fluxes * probs).sum()
+        counts @ np.log(np.maximum(probs, _PROB_FLOOR)) - total * np.log(mean_rate) - total
     )
 
 
 def log_likelihood(rho: DensityMatrix2Q, record: TomographyRecord) -> float:
-    """Poisson log-likelihood sum_s [n_s ln p_s - N_s p_s] (rho-dependent part).
+    """Intensity-profiled Poisson log-likelihood (see the module docstring).
 
     Probabilities are floored at 1e-15 inside the logarithm so boundary
-    states with exact zeros stay comparable.
+    states with exact zeros stay comparable.  Rescaling all exposures by
+    one factor leaves the value unchanged.
     """
     design, counts, exposure = _record_arrays(record)
-    probs = setting_probabilities(rho.mat, design)
-    return _ll_of_probs(probs, counts, _fluxes(counts, exposure))
+    return _ll_of_probs(setting_probabilities(rho.mat, design), counts, exposure)
+
+
+def _whitening(design: np.ndarray, exposure: np.ndarray):
+    """G^-1/2 and the whitened design in Pauli coordinates.
+
+    Returns (root, p0, a): root = G^-1/2, and for tau = I/4 + sum_k x_k B_k
+    the whitened probabilities are Tr(Pi~_s tau) = p0_s + (a @ x)_s.
+    """
+    gram = (exposure @ design).view(complex).reshape(4, 4)
+    vals, vecs = np.linalg.eigh(gram)
+    root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    basis = np.ascontiguousarray(root @ _PAULI_BASIS @ root).reshape(16, 16)
+    coords = exposure[:, None] * (design @ basis.view(np.float64).T)
+    return root, coords[:, 0] / 2.0, coords[:, 1:]
+
+
+def _tau(x: np.ndarray) -> np.ndarray:
+    return (_MIXED_FLAT + x @ _TRACELESS_FLAT).reshape(4, 4)
+
+
+def _ln_det(tau: np.ndarray) -> float | None:
+    """ln det tau, or None when tau is not positive definite."""
+    try:
+        chol = np.linalg.cholesky(tau)
+    except np.linalg.LinAlgError:
+        return None
+    return 2.0 * float(np.log(chol.diagonal().real).sum())
+
+
+def _gap(grad: np.ndarray, x: np.ndarray) -> float:
+    # sum_s (n_s / p~_s) Pi~_s = (N - grad.x) I + sum_k grad_k B_k, and its
+    # expectation in tau is N, so the bound is lambda_max(sum grad_k B_k) - grad.x.
+    return float(np.linalg.eigvalsh((grad @ _TRACELESS_FLAT).reshape(4, 4))[-1] - grad @ x)
 
 
 def mle_reconstruct(
@@ -138,75 +195,78 @@ def mle_reconstruct(
 ) -> MLEResult:
     """Maximum-likelihood density matrix for a tomography record.
 
-    Starts from the maximally mixed state and applies the diluted R rho R
-    iteration until the relative log-likelihood change drops below
-    ll_tolerance or the iteration budget runs out.  ``callback``, when
-    given, is invoked as callback(iteration, rho_array, log_likelihood)
-    after every accepted step.
+    Starts from the maximally mixed state and takes barrier Newton steps
+    until the certified gap is at most gap_tolerance or max_iterations
+    steps are spent; running out of steps returns converged=False with the
+    gap reached.  ``callback``, when given, is invoked as
+    callback(iteration, rho_array, log_likelihood) after every step.
     """
     cfg = config or MLEConfig()
     design, counts, exposure = _record_arrays(record)
     total = counts.sum()
     if total == 0:
         # No events: the likelihood is flat, every state is maximal.
-        rho = DensityMatrix2Q(np.eye(4, dtype=complex) / 4.0)
-        return MLEResult(rho=rho, log_likelihood=0.0, iterations=0, converged=True)
-    fluxes = _fluxes(counts, exposure)
-    weights = counts / total
+        rho = DensityMatrix2Q(_MIXED.copy())
+        return MLEResult(rho=rho, log_likelihood=0.0, iterations=0, converged=True, gap=0.0)
+    root, p0, a = _whitening(design, exposure)
 
-    rho = np.eye(4, dtype=complex) / 4.0
-    probs = setting_probabilities(rho, design)
-    ll = _ll_of_probs(probs, counts, fluxes)
-    dilution = cfg.dilution
-    accepted_streak = 0
+    def to_rho(tau: np.ndarray) -> np.ndarray:
+        rho = root @ tau @ root
+        return rho / rho.trace().real
+
+    x = np.zeros(15)
+    tau = _MIXED
+    ln_det = _ln_det(tau)
+    probs = p0
+    mu = total / 4.0
+    mu_floor = cfg.gap_tolerance / 20.0
     iterations = 0
-    converged = False
+    while True:
+        weights = counts / probs
+        grad = weights @ a
+        gap = _gap(grad, x)
+        if gap <= cfg.gap_tolerance or iterations == cfg.max_iterations:
+            break
+        inv = np.linalg.inv(tau)
+        barrier_grad = (_TRACELESS_FLAT.conj() @ inv.reshape(16)).real
+        curvature = (inv @ _TRACELESS @ inv).reshape(15, 16) @ _TRACELESS_FLAT.conj().T
+        hessian = (a.T * (weights / probs)) @ a + mu * curvature.real
+        full_grad = grad + mu * barrier_grad
+        step = np.linalg.solve(hessian, full_grad)
+        decrement_sq = float(full_grad @ step)
 
-    for iterations in range(1, cfg.max_iterations + 1):
-        r = ((weights / np.maximum(probs, _PROB_FLOOR)) @ design).view(complex)
-        r = r.reshape(4, 4)
-        m = r @ rho @ r
-        pushed = m + m.conj().T
-        pushed_trace = float(pushed.trace().real)
-        if pushed_trace <= 0.0:
-            raise ConvergenceFailure("R rho R collapsed to zero trace")
-        pushed /= pushed_trace
-        pushed_probs = setting_probabilities(pushed, design)
-
-        accepted = False
-        while dilution >= _MIN_DILUTION:
-            candidate_probs = (1.0 - dilution) * probs + dilution * pushed_probs
-            ll_new = _ll_of_probs(candidate_probs, counts, fluxes)
-            if ll_new >= ll:
-                accepted = True
-                break
-            dilution /= 2.0
-            accepted_streak = 0
-        if not accepted:
-            # No dilution small enough can raise the likelihood further:
-            # converged to numerical precision.
-            converged = True
-            iterations -= 1
+        ratio = (a @ step) / probs
+        t = 1.0
+        while t >= _MIN_STEP:
+            trial_tau = _tau(x + t * step)
+            trial_ln_det = _ln_det(trial_tau)
+            if trial_ln_det is not None and (t * ratio > -1.0).all():
+                increase = counts @ np.log1p(t * ratio) + mu * (trial_ln_det - ln_det)
+                if increase >= _ARMIJO * t * decrement_sq:
+                    break
+            t /= 2.0
+        else:
+            # No step raises the objective by more than rounding.
             break
 
-        change = ll_new - ll
-        rho = (1.0 - dilution) * rho + dilution * pushed
-        probs, ll = candidate_probs, ll_new
-        accepted_streak += 1
-        if accepted_streak >= 10 and dilution != cfg.dilution:
-            dilution = cfg.dilution
-            accepted_streak = 0
+        x = x + t * step
+        tau, ln_det = trial_tau, trial_ln_det
+        probs = p0 + a @ x
+        iterations += 1
+        if decrement_sq < 1.0:
+            mu = max(mu / 10.0, mu_floor)
         if callback is not None:
+            rho = to_rho(tau)
+            ll = _ll_of_probs(setting_probabilities(rho, design), counts, exposure)
             callback(iterations, rho, ll)
-        if change <= cfg.ll_tolerance * max(1.0, abs(ll)):
-            converged = True
-            break
 
+    rho = DensityMatrix2Q.from_external(to_rho(tau))
     return MLEResult(
-        rho=DensityMatrix2Q.from_external(rho),
-        log_likelihood=ll,
+        rho=rho,
+        log_likelihood=_ll_of_probs(setting_probabilities(rho.mat, design), counts, exposure),
         iterations=iterations,
-        converged=converged,
+        converged=gap <= cfg.gap_tolerance,
+        gap=gap,
     )
 
 

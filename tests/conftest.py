@@ -29,13 +29,13 @@ def random_unitary2(rng) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def noiseless_record(rho: DensityMatrix2Q, n_per_setting: int) -> TomographyRecord:
-    """Counts rounded from the exact Poisson means (no sampling)."""
-    counts = []
-    for _, mat in tomography_settings():
-        p = max(float(np.trace(rho.mat @ mat).real), 0.0)
-        counts.append(round(n_per_setting * p))
-    return TomographyRecord.from_counts(np.array(counts))
+def noiseless_record(rho: DensityMatrix2Q, n_per_setting: int, exposure=None) -> TomographyRecord:
+    """Counts rounded from the exact Poisson means n_per_setting * e_s * p_s
+    (no sampling); exposures e_s default to 1."""
+    exposure = np.ones(36) if exposure is None else np.asarray(exposure, dtype=float)
+    probs = [max(float(np.trace(rho.mat @ mat).real), 0.0) for _, mat in tomography_settings()]
+    counts = np.rint(n_per_setting * exposure * np.array(probs)).astype(int)
+    return TomographyRecord.from_counts(counts, exposure)
 
 
 @pytest.fixture

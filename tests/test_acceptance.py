@@ -12,6 +12,7 @@ import numpy as np
 
 from qdiscrim import (
     EQUAL_PRIORS,
+    MLEConfig,
     OptimizerConfig,
     advantage,
     estimate,
@@ -198,10 +199,21 @@ def test_criterion_8_invariant_suites():
         density_ok = density_ok and np.linalg.eigvalsh(rho.mat).min() > -1e-9
         density_ok = density_ok and np.abs(rho.mat - rho.mat.conj().T).max() < 1e-12
 
-    lls = []
+    # every MLE iterate is a density matrix, and the end point is certified
+    iterates = []
     record = simulate_tomography(werner_noise(phi0(25.0), 0.92), 10**4, seed=88)
-    mle_reconstruct(record, callback=lambda i, r, ll: lls.append(ll))
-    mle_ok = bool(lls) and all(b >= a for a, b in zip(lls, lls[1:]))
+    result = mle_reconstruct(record, callback=lambda i, r, ll: iterates.append(r))
+    mle_ok = (
+        len(iterates) == result.iterations > 0
+        and all(
+            abs(np.trace(r).real - 1.0) < 1e-10
+            and np.abs(r - r.conj().T).max() < 1e-10
+            and np.linalg.eigvalsh(r).min() > 0.0
+            for r in iterates
+        )
+        and result.converged
+        and result.gap <= MLEConfig().gap_tolerance
+    )
 
     worst_residual = 0.0
     for _ in range(1000):
@@ -229,6 +241,7 @@ def test_criterion_8_invariant_suites():
     _report(
         8,
         ok,
+        f"MLE gap {result.gap:.2e} after {result.iterations} iterations, "
         f"hollow residual max {worst_residual:.2e}, "
         f"walgate min success {worst_success:.12f}, {elapsed:.1f}s",
     )

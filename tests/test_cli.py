@@ -58,6 +58,14 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="likelihood_model"):
         load_config(path, overrides={})
     assert main(["tomo", "--config", path]) == 2
+    # the certified solver has no likelihood-change tolerance and no dilution
+    for key, value in (("ll_tolerance", 1e-10), ("dilution", 0.5)):
+        path = write_config(
+            tmp_path, {"experiment": "tomo", "master_seed": 1, "mle": {key: value}}
+        )
+        with pytest.raises(ConfigError, match=key):
+            load_config(path, overrides={})
+        assert main(["tomo", "--config", path]) == 2
 
 
 def test_load_config_requires_experiment(tmp_path):
@@ -134,7 +142,7 @@ def test_config_echo_omits_output_path():
     assert "output_path" not in echo
     assert echo["experiment"] == "optimize"
     assert echo["optimizer"]["polar_points"] == 24
-    assert echo["mle"] == {"max_iterations": 5000, "ll_tolerance": 1e-10, "dilution": 0.5}
+    assert echo["mle"] == {"max_iterations": 200, "gap_tolerance": 1e-2}
 
 
 # ---------------------------------------------------------------- exit codes
@@ -211,6 +219,24 @@ def test_program_errors_are_not_reported_as_config_errors(tmp_path, capsys, monk
     monkeypatch.setitem(cli._RUNNERS, "optimize", broken)
     with pytest.raises(ValueError, match="deliberate program bug"):
         run_cli(tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT})
+
+
+def test_tomo_warns_on_stderr_when_the_mle_stops_short(tmp_path, capsys):
+    config = {"master_seed": 4, "n_per_setting": 500, "state": "bell", "noise_v": 0.95}
+    code, out, err = run_cli(tmp_path, capsys, "tomo", config)
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["tomo"]["converged"] is True
+    capped = dict(config, mle={"max_iterations": 1})
+    code, out, err = run_cli(tmp_path, capsys, "tomo", capped)
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("discrim: warning: MLE stopped")
+    tomo = json.loads(out)["results"]["tomo"]
+    assert tomo["converged"] is False and tomo["iterations"] == 1
+    assert tomo["gap"] > 1e-2
+    # stdout holds the report alone, byte for byte
+    cfg = load_config(write_config(tmp_path, dict(capped, experiment="tomo")), overrides={})
+    assert out == cli.report_to_json(cli.build_report(cfg))
 
 
 # ---------------------------------------------------------------- overrides

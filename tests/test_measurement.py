@@ -78,6 +78,22 @@ def test_sample_coincidences_regression_counts():
     assert counts.as_tuple() == (727337, 10940, 250710, 11013)
 
 
+def test_sample_coincidences_stable_under_rounding_of_zero_probabilities():
+    # State phi1 never fires the two label-0 outcomes of its Walgate POVM.  A
+    # basis moved by about 1e-16 turns those exact zeros into rounding noise of
+    # either sign; the counts must not follow it.
+    povm = protocol_to_povm(walgate_decompose(phi0(30.0), phi1(60.0)))
+    rho = phi1(60.0).density()
+    base = sample_coincidences(rho, povm, 10**6, seed=5)
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        lam, vecs = np.linalg.eigh(h + h.conj().T)
+        u = (vecs * np.exp(-1e-16j * lam)) @ vecs.conj().T
+        moved = [(label, u @ mat @ u.conj().T) for label, mat in povm]
+        assert sample_coincidences(rho, moved, 10**6, seed=5) == base
+
+
 def test_sample_coincidences_mixed_state_bins_within_5_sigma():
     povm = protocol_to_povm(canonical_protocol())
     counts = sample_coincidences(MIXED, povm, 10**6, seed=77)
@@ -159,6 +175,23 @@ def test_simulate_tomography_deterministic_and_mean_accurate():
     # Poisson: every count within 6 sigma of its mean
     sigma = np.sqrt(np.clip(means, 1.0, None))
     assert (np.abs(a.counts - means) <= 6 * sigma).all()
+
+
+def test_simulate_tomography_weights_exposures():
+    rho = werner_noise(phi0(30.0), 0.9)
+    uniform = simulate_tomography(rho, 10_000, seed=4)
+    ones = simulate_tomography(rho, 10_000, seed=4, exposure=np.ones(36))
+    assert np.array_equal(uniform.counts, ones.counts)
+    assert np.array_equal(uniform.exposure, np.ones(36))
+    exposure = np.random.default_rng(6).uniform(0.5, 2.0, size=36)
+    record = simulate_tomography(rho, 10_000, seed=4, exposure=exposure)
+    assert np.array_equal(record.exposure, exposure)
+    probs = np.array([np.trace(rho.mat @ mat).real for _, mat in tomography_settings()])
+    means = 10_000 * exposure * probs
+    sigma = np.sqrt(np.clip(means, 1.0, None))
+    assert (np.abs(record.counts - means) <= 6 * sigma).all()
+    with pytest.raises(ValueError):
+        simulate_tomography(rho, 10_000, seed=4, exposure=-exposure)
 
 
 def test_tomography_record_validation_and_serialisation():

@@ -52,6 +52,41 @@ def test_log_likelihood_maximal_at_generating_state(rng):
         assert log_likelihood(other, record) <= base
 
 
+def test_log_likelihood_uniform_exposures_is_sum_n_ln_p_minus_n(rng):
+    # the 36 projectors sum to 9 I, so for uniform exposures the intensity
+    # term is N ln(4 * 9 / 36) = 0 and the profile is sum_s n_s ln p_s - N
+    truth = werner_noise(phi0(35.0), 0.8)
+    record = simulate_tomography(truth, 5000, seed=12)
+    for rho in (truth, random_density(rng)):
+        probs = np.array([np.trace(rho.mat @ mat).real for _, mat in tomography_settings()])
+        expected = record.counts @ np.log(probs) - record.counts.sum()
+        assert log_likelihood(rho, record) == pytest.approx(expected, rel=1e-12)
+
+
+def test_log_likelihood_weights_exposures(rng):
+    # the profile over the intensity I of sum_s [n_s ln(I e_s p_s) - I e_s p_s],
+    # minus its rho-independent part, is what log_likelihood returns
+    truth = random_density(rng, rank=2)
+    exposure = rng.uniform(0.5, 2.0, size=36)
+    record = simulate_tomography(truth, 10**4, seed=5, exposure=exposure)
+    counts = record.counts
+    total = counts.sum()
+    const = counts @ np.log(exposure) + total * np.log(4.0 * total / exposure.sum())
+    for rho in (truth, random_density(rng), MIXED):
+        probs = np.array([np.trace(rho.mat @ mat).real for _, mat in tomography_settings()])
+        intensity = total / (exposure @ probs)
+        means = intensity * exposure * probs
+        profile = counts @ np.log(means) - means.sum()
+        assert log_likelihood(rho, record) == pytest.approx(profile - const, rel=1e-12)
+    # a noiseless record with exposures peaks at its generating state
+    record = noiseless_record(truth, 10**6, exposure)
+    base = log_likelihood(truth, record)
+    for _ in range(50):
+        eps = rng.uniform(1e-3, 1e-2)
+        other = DensityMatrix2Q((1 - eps) * truth.mat + eps * random_density(rng).mat)
+        assert log_likelihood(other, record) <= base
+
+
 def test_log_likelihood_invariant_under_exposure_rescaling():
     truth = werner_noise(phi0(35.0), 0.8)
     record = simulate_tomography(truth, 5000, seed=12)
@@ -79,12 +114,14 @@ def test_mle_noiseless_maximally_mixed():
     assert result.converged
     assert trace_norm(result.rho.mat - MIXED.mat) / 2 < 1e-3
     assert result.iterations <= 2
+    assert result.gap <= MLEConfig().gap_tolerance
 
 
 def test_mle_zero_count_record_returns_mixed():
     record = TomographyRecord.from_counts(np.zeros(36, dtype=int))
     result = mle_reconstruct(record)
     assert result.converged
+    assert result.gap == 0.0
     assert np.abs(result.rho.mat - MIXED.mat).max() < 1e-12
 
 
@@ -93,12 +130,17 @@ def test_mle_seeded_regression():
     record = simulate_tomography(truth, 10**4, seed=42)
     result = mle_reconstruct(record)
     assert result.converged
+    assert result.gap <= MLEConfig().gap_tolerance
     fid = fidelity_pure(result.rho, phi0(30.0))
-    assert fid == pytest.approx(0.9627809040570764, abs=1e-9)
-    assert result.log_likelihood == pytest.approx(-192975.03319404228, rel=1e-12)
+    assert fid == pytest.approx(0.962814660890652, abs=1e-9)
+    assert result.log_likelihood == pytest.approx(-192975.03044723917, rel=1e-12)
+    # the pin of the diluted R rho R solver this one replaced
+    assert result.log_likelihood >= -192975.03319404228
 
 
-def test_mle_monotone_and_physical_at_every_iteration():
+def test_mle_physical_at_every_iteration_and_certified():
+    # The log-likelihood need not rise at every step of a barrier path; the
+    # end point is certified instead, and lies no lower than the R rho R optimum.
     truth = werner_noise(phi0(30.0), 0.9)
     record = simulate_tomography(truth, 10**4, seed=21)
     lls = []
@@ -107,12 +149,14 @@ def test_mle_monotone_and_physical_at_every_iteration():
         lls.append(ll)
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.abs(rho - rho.conj().T).max() < 1e-10
-        assert np.linalg.eigvalsh(rho).min() > -1e-10
+        assert np.linalg.eigvalsh(rho).min() > 0.0
 
     result = mle_reconstruct(record, callback=watch)
     assert result.converged
     assert len(lls) == result.iterations
-    assert all(b >= a for a, b in zip(lls, lls[1:]))
+    assert result.gap <= MLEConfig().gap_tolerance
+    assert lls[-1] == pytest.approx(result.log_likelihood, rel=1e-12)
+    assert result.log_likelihood >= _reference_mle(record)[1]
 
 
 def test_mle_deterministic():
@@ -122,6 +166,7 @@ def test_mle_deterministic():
     assert np.array_equal(a.rho.mat, b.rho.mat)
     assert a.log_likelihood == b.log_likelihood
     assert a.iterations == b.iterations
+    assert a.gap == b.gap
 
 
 def test_mle_near_bell_tangle_matches_closed_form():
@@ -130,24 +175,30 @@ def test_mle_near_bell_tangle_matches_closed_form():
     closed = ((3 * 0.98 - 1) / 2) ** 2
     got = tangle(result.rho)
     assert abs(got - closed) < 0.02
-    assert got == pytest.approx(0.9399151991405451, abs=1e-9)
+    assert got == pytest.approx(0.9399550857641684, abs=1e-9)
+    # the diluted R rho R solver this one replaced ended at -195909.1969708073
+    assert result.log_likelihood >= -195909.1969708073
 
 
 def test_mle_iteration_budget_reported_when_exhausted():
     truth = werner_noise(phi0(30.0), 0.956)
     record = simulate_tomography(truth, 10**4, seed=42)
-    result = mle_reconstruct(record, MLEConfig(max_iterations=5, ll_tolerance=1e-14))
+    result = mle_reconstruct(record, MLEConfig(max_iterations=5, gap_tolerance=1e-6))
     assert not result.converged
     assert result.iterations == 5
+    assert 1e-6 < result.gap < np.inf
 
 
 def test_mle_config_validation_and_roundtrip():
-    cfg = MLEConfig(max_iterations=100, ll_tolerance=1e-8, dilution=1.0)
+    cfg = MLEConfig(max_iterations=100, gap_tolerance=1e-3)
     assert MLEConfig.from_json(cfg.to_json()) == cfg
-    with pytest.raises(ValueError):
-        MLEConfig(dilution=0.0)
-    with pytest.raises(ValueError):
-        MLEConfig.from_json({"max_iterations": 10, "nope": 3})
+    assert cfg.to_json() == {"max_iterations": 100, "gap_tolerance": 1e-3}
+    for bad in ({"gap_tolerance": 0.0}, {"gap_tolerance": np.inf}, {"max_iterations": 0}):
+        with pytest.raises(ValueError):
+            MLEConfig(**bad)
+    for key in ("nope", "ll_tolerance", "dilution"):
+        with pytest.raises(ValueError, match=key):
+            MLEConfig.from_json({"max_iterations": 10, key: 0.5})
 
 
 def test_fidelity_report_and_result_serialisation():
@@ -155,31 +206,35 @@ def test_fidelity_report_and_result_serialisation():
     result = mle_reconstruct(record)
     assert fidelity_report(result, HH) >= 1.0 - 1e-4
     data = result.to_json()
-    assert set(data) == {"rho", "log_likelihood", "iterations", "converged"}
+    assert set(data) == {"rho", "log_likelihood", "iterations", "converged", "gap"}
     back = DensityMatrix2Q.from_json(data["rho"])
     assert np.abs(back.mat - result.rho.mat).max() < 1e-9
     csv_text = result.to_csv()
     assert "# real part" in csv_text and "# imaginary part" in csv_text
+    assert f"# gap={result.gap!r}" in csv_text
     real_block = csv_text.split("# real part\n")[1].split("# imaginary part")[0]
     first_row = [float(x) for x in real_block.strip().splitlines()[0].split(",")]
     assert first_row == pytest.approx(list(result.rho.mat[0].real))
 
 
-# ---------------------------------------------------------------- design-matrix rewrite
+# ---------------------------------------------------------------- references
 
 
-def _reference_simulate(rho, n_per_setting, seed):
+def _reference_simulate(rho, n_per_setting, seed, exposure=None):
     """Per-setting scalar Poisson draws, the loop the array draw replaced."""
+    exposure = np.ones(36) if exposure is None else exposure
     rng = np.random.default_rng(seed)
     counts = []
-    for _, mat in tomography_settings():
+    for (_, mat), e in zip(tomography_settings(), exposure):
         p = max(float(np.trace(rho.mat @ mat).real), 0.0)
-        counts.append(int(rng.poisson(n_per_setting * p)))
+        counts.append(int(rng.poisson(n_per_setting * e * p)))
     return np.array(counts)
 
 
-def _reference_mle(record, cfg=MLEConfig()):
-    """The diluted R rho R loop on matrices, with einsum over the projector stack."""
+def _reference_mle(record, max_iterations=5000, ll_tolerance=1e-10, dilution=0.5):
+    """The diluted R rho R loop that the barrier Newton solver replaced, on
+    matrices, with einsum over the projector stack and its old defaults.  It
+    ignores exposures and stops on a small likelihood change, not a gap."""
     by_label = dict(tomography_settings())
     projs = np.stack([by_label[label] for label in record.labels])
     counts = record.counts.astype(float)
@@ -192,22 +247,22 @@ def _reference_mle(record, cfg=MLEConfig()):
 
     rho = np.eye(4, dtype=complex) / 4.0
     ll = ll_of(rho)
-    dilution, streak, iterations = cfg.dilution, 0, 0
-    for iterations in range(1, cfg.max_iterations + 1):
+    step, streak, iterations = dilution, 0, 0
+    for iterations in range(1, max_iterations + 1):
         probs = np.einsum("sij,ji->s", projs, rho).real
         r = np.einsum("s,sij->ij", counts / np.clip(probs, 1e-15, None) / total, projs)
         pushed = r @ rho @ r
         pushed = pushed / pushed.trace().real
         accepted = False
-        while dilution >= 1e-12:
-            candidate = (1.0 - dilution) * rho + dilution * pushed
+        while step >= 1e-12:
+            candidate = (1.0 - step) * rho + step * pushed
             candidate = (candidate + candidate.conj().T) / 2.0
             candidate = candidate / candidate.trace().real
             ll_new = ll_of(candidate)
             if ll_new >= ll:
                 accepted = True
                 break
-            dilution /= 2.0
+            step /= 2.0
             streak = 0
         if not accepted:
             iterations -= 1
@@ -215,48 +270,93 @@ def _reference_mle(record, cfg=MLEConfig()):
         change = ll_new - ll
         rho, ll = candidate, ll_new
         streak += 1
-        if streak >= 10 and dilution != cfg.dilution:
-            dilution, streak = cfg.dilution, 0
-        if change <= cfg.ll_tolerance * max(1.0, abs(ll)):
+        if streak >= 10 and step != dilution:
+            step, streak = dilution, 0
+        if change <= ll_tolerance * max(1.0, abs(ll)):
             break
     return rho, ll, iterations
 
 
 def _equivalence_records():
     """Seeded simulated records of rank 1, 2 and 4 at 1e3 to 1e5 counts per
-    setting, one noiseless uniform record and one with non-uniform exposures."""
-    records = []
+    setting, one noiseless uniform record and one with non-uniform exposures,
+    each as (kind, truth, record)."""
+    cases = []
     for k, (rank, n_per_setting) in enumerate(
         (rank, n) for rank in (1, 2, 4) for n in (10**3, 10**4, 10**5)
     ):
         rho = random_density(np.random.default_rng(100 + k), rank=rank)
-        records.append(("simulated", rho, n_per_setting, 500 + k))
+        cases.append((rho, n_per_setting, 500 + k))
     for k, state in enumerate((werner_noise(phi0(30.0), 0.956), werner_noise(BELL, 0.98),
                                HH.density())):
-        records.append(("simulated", state, 10**4, 600 + k))
+        cases.append((state, 10**4, 600 + k))
+    records = []
+    for rho, n_per_setting, seed in cases:
+        record = simulate_tomography(rho, n_per_setting, seed)
+        assert np.array_equal(record.counts, _reference_simulate(rho, n_per_setting, seed))
+        records.append(("simulated", rho, record))
     truth = random_density(np.random.default_rng(7), rank=4)
-    records.append(("noiseless", noiseless_record(truth, 10**5), None, None))
-    probs = np.array([np.trace(truth.mat @ mat).real for _, mat in tomography_settings()])
+    records.append(("noiseless", truth, noiseless_record(truth, 10**5)))
     exposure = np.random.default_rng(8).uniform(0.5, 2.0, size=36)
-    counts = np.rint(10**5 * exposure * probs).astype(int)
-    records.append(("exposure", TomographyRecord.from_counts(counts, exposure), None, None))
+    records.append(("exposure", truth, noiseless_record(truth, 10**5, exposure)))
     return records
 
 
 @pytest.mark.parametrize("case", range(14))
 def test_design_matrix_mle_matches_matrix_reference(case):
-    kind, item, n_per_setting, seed = _equivalence_records()[case]
-    if kind == "simulated":
-        record = simulate_tomography(item, n_per_setting, seed)
-        assert np.array_equal(record.counts, _reference_simulate(item, n_per_setting, seed))
-    else:
-        record = item
-    rho, ll, iterations = _reference_mle(record)
+    kind, truth, record = _equivalence_records()[case]
     result = mle_reconstruct(record)
-    assert abs(result.iterations - iterations) <= 1
-    assert np.abs(result.rho.mat - rho).max() < 1e-12
-    assert result.log_likelihood == pytest.approx(ll, rel=1e-12)
-    assert log_likelihood(result.rho, record) == pytest.approx(ll, rel=1e-12)
+    assert result.converged
+    assert result.gap <= MLEConfig().gap_tolerance
+    assert log_likelihood(result.rho, record) == pytest.approx(result.log_likelihood, rel=1e-12)
+    if kind == "exposure":
+        # the reference ignores exposures; the truth is the yardstick here
+        assert trace_norm(result.rho.mat - truth.mat) / 2 < 1e-4
+    else:
+        _, ll, _ = _reference_mle(record)
+        assert result.log_likelihood >= ll - MLEConfig().gap_tolerance
+
+
+# ---------------------------------------------------------------- certified solver
+
+
+@pytest.mark.parametrize("exposed", [False, True])
+def test_mle_certifies_noiseless_rank2_records(exposed):
+    rng = np.random.default_rng(2012 + exposed)
+    tolerance = MLEConfig().gap_tolerance
+    for _ in range(10):
+        truth = random_density(rng, rank=2)
+        exposure = rng.uniform(0.5, 2.0, size=36) if exposed else None
+        result = mle_reconstruct(noiseless_record(truth, 10**6, exposure))
+        assert result.converged
+        assert 0.0 <= result.gap <= tolerance
+        assert trace_norm(result.rho.mat - truth.mat) / 2 < 1e-4
+
+
+def test_mle_gap_bounds_distance_to_a_tighter_solve():
+    record = simulate_tomography(werner_noise(BELL, 0.9), 10**4, seed=77)
+    loose = mle_reconstruct(record, MLEConfig(gap_tolerance=1.0))
+    tight = mle_reconstruct(record, MLEConfig(gap_tolerance=1e-4))
+    assert loose.converged and tight.converged
+    assert loose.gap <= 1.0 and tight.gap <= 1e-4
+    assert tight.log_likelihood >= loose.log_likelihood
+    assert tight.log_likelihood - loose.log_likelihood <= loose.gap + 1e-6
+
+
+def test_mle_loop_closure_with_exposures():
+    rng = np.random.default_rng(404)
+    for k in range(10):
+        truth = random_density(rng, rank=1 + k % 4)
+        exposure = rng.uniform(0.5, 2.0, size=36)
+        record = simulate_tomography(truth, 10**4, seed=900 + k, exposure=exposure)
+        assert np.array_equal(record.exposure, exposure)
+        assert np.array_equal(record.counts, _reference_simulate(truth, 10**4, 900 + k, exposure))
+        result = mle_reconstruct(record)
+        assert result.converged
+        assert result.gap <= MLEConfig().gap_tolerance
+        # sampling noise puts the truth below the maximum, never above it
+        assert result.log_likelihood >= log_likelihood(truth, record)
+        assert trace_norm(result.rho.mat - truth.mat) / 2 < 0.03
 
 
 def test_tomography_settings_returns_copies():
