@@ -13,7 +13,6 @@ from .errors import (
     EmptyCountsError,
     IncompletePOVMError,
     InvalidDensityError,
-    InvalidMeasurementError,
     InvalidProtocolError,
     NotHermitianError,
     NotOrthogonalError,
@@ -39,14 +38,12 @@ from .discrimination import (
     FeedForwardProtocol,
     OptimizerConfig,
     PriorPair,
-    ProductMeasurement,
     advantage,
     canonical_protocol,
     ff_success_probability,
     helstrom_bound,
     hollow_vector,
     optimize_local_projective,
-    product_success_probability,
     walgate_decompose,
 )
 from .measurement import (
@@ -63,7 +60,6 @@ from .measurement import (
 from .tomography import (
     MLEConfig,
     MLEResult,
-    fidelity_report,
     log_likelihood,
     mle_reconstruct,
 )
@@ -83,7 +79,6 @@ __all__ = [
     "HermitianEig",
     "IncompletePOVMError",
     "InvalidDensityError",
-    "InvalidMeasurementError",
     "InvalidProtocolError",
     "MLEConfig",
     "MLEResult",
@@ -93,7 +88,6 @@ __all__ = [
     "NotUnitaryError",
     "OptimizerConfig",
     "PriorPair",
-    "ProductMeasurement",
     "PureState2Q",
     "TomographyRecord",
     "advantage",
@@ -102,7 +96,6 @@ __all__ = [
     "estimate",
     "ff_success_probability",
     "fidelity_pure",
-    "fidelity_report",
     "helstrom_bound",
     "hermitian_eig",
     "hollow_vector",
@@ -112,7 +105,6 @@ __all__ = [
     "optimize_local_projective",
     "phi0",
     "phi1",
-    "product_success_probability",
     "protocol_to_povm",
     "psi_pair",
     "sample_coincidences",

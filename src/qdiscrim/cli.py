@@ -62,6 +62,9 @@ TOMO_STATES = ("phi0", "phi1", "psi0", "psi1", "bell")
 OUTPUT_DIR_ENV = "DISCRIM_OUTPUT_DIR"
 
 _SAMPLING_EXPERIMENTS = {"pair", "grid", "curve", "tomo"}
+# Largest n_events and n_per_setting: numpy's multinomial takes counts up to
+# 2**63 - 1 and its Poisson draw means up to about 9.2e18.
+MAX_COUNT = 2**62
 
 
 class ConfigError(ValueError):
@@ -109,8 +112,9 @@ class ExperimentConfig:
             raise ConfigError("grid_step_deg must divide 90")
         if not 0.0 <= self.noise_v <= 1.0:
             raise ConfigError("noise_v must lie in [0, 1]")
-        if self.n_events <= 0 or self.n_per_setting <= 0:
-            raise ConfigError("n_events and n_per_setting must be positive")
+        for key in ("n_events", "n_per_setting"):
+            if not 0 < getattr(self, key) <= MAX_COUNT:
+                raise ConfigError(f"{key} must lie in [1, 2**62]")
         if self.state not in TOMO_STATES:
             raise ConfigError(f"state must be one of {TOMO_STATES}, got {self.state!r}")
         if self.experiment in _SAMPLING_EXPERIMENTS and self.master_seed is None:
@@ -340,15 +344,13 @@ def run_optimize(cfg: ExperimentConfig) -> dict:
         ideal0, ideal1 = phi0(cfg.theta0_deg), phi1(cfg.theta1_deg)
     rho0 = werner_noise(ideal0, cfg.noise_v)
     rho1 = werner_noise(ideal1, cfg.noise_v)
-    measurement, value = optimize_local_projective(
-        rho0, rho1, EQUAL_PRIORS, cfg.optimizer
-    )
+    protocol, value = optimize_local_projective(rho0, rho1, EQUAL_PRIORS, cfg.optimizer)
     return {
         "optimize": {
             "value": value,
-            "alice_basis": complex_to_pairs(measurement.alice_basis),
-            "bob_basis": complex_to_pairs(measurement.bob_basis),
-            "assignment": measurement.assignment.tolist(),
+            "alice_basis": complex_to_pairs(protocol.alice_basis),
+            "bob_basis": complex_to_pairs(protocol.bob_bases[0]),
+            "assignment": protocol.guess_map.tolist(),
             "helstrom": helstrom_bound(rho0, rho1, EQUAL_PRIORS),
         }
     }

@@ -22,12 +22,11 @@ import numpy as np
 from . import linalg
 from .errors import (
     ConvergenceFailure,
-    InvalidMeasurementError,
     InvalidProtocolError,
     NotOrthogonalError,
     NotTracelessError,
 )
-from .linalg import ID2, ID4, KET_H, KET_V, PAULI_Z, dagger, kron, perp2, projector
+from .linalg import ID2, KET_H, KET_V, PAULI_Z, dagger, kron, perp2, projector
 from .states import DensityMatrix2Q, PureState2Q, u_perp_state, u_state
 
 ORTHOGONALITY_ATOL = 1e-9
@@ -57,13 +56,13 @@ class PriorPair:
 EQUAL_PRIORS = PriorPair(0.5, 0.5)
 
 
-def _check_basis(basis: np.ndarray, what: str, exc) -> np.ndarray:
+def _check_basis(basis: np.ndarray, what: str) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
     if basis.shape != (2, 2):
-        raise exc(f"{what} must be two 2-vectors, got shape {basis.shape}")
+        raise InvalidProtocolError(f"{what} must be two 2-vectors, got shape {basis.shape}")
     gram = basis.conj() @ basis.T
     if np.abs(gram - ID2).max() > BASIS_ATOL:
-        raise exc(f"{what} is not orthonormal within {BASIS_ATOL}")
+        raise InvalidProtocolError(f"{what} is not orthonormal within {BASIS_ATOL}")
     return basis
 
 
@@ -75,7 +74,8 @@ class FeedForwardProtocol:
     j-th outcome vector used when Alice saw outcome i; guess_map[i, j] is
     the emitted label.  Outcome index 0 on either side is the transmitted
     PBS arm (T_a / T_b), and Alice's T_a outcome is the one that triggers
-    the feed-forward switch.
+    the feed-forward switch.  Equal Bob bases make it a fixed product
+    measurement, with no feed-forward.
     """
 
     alice_basis: np.ndarray
@@ -83,12 +83,12 @@ class FeedForwardProtocol:
     guess_map: np.ndarray
 
     def __post_init__(self):
-        alice = _check_basis(self.alice_basis, "Alice basis", InvalidProtocolError)
+        alice = _check_basis(self.alice_basis, "Alice basis")
         bobs = np.asarray(self.bob_bases, dtype=complex)
         if bobs.shape != (2, 2, 2):
             raise InvalidProtocolError(f"expected 2 Bob bases, got shape {bobs.shape}")
         for i in range(2):
-            _check_basis(bobs[i], f"Bob basis for Alice outcome {i}", InvalidProtocolError)
+            _check_basis(bobs[i], f"Bob basis for Alice outcome {i}")
         guess = np.asarray(self.guess_map)
         if guess.shape != (2, 2) or not np.isin(guess, (0, 1)).all():
             raise InvalidProtocolError("guess_map must be a 2x2 array of labels 0/1")
@@ -99,28 +99,6 @@ class FeedForwardProtocol:
     def projector(self, i: int, j: int) -> np.ndarray:
         """Global projector for Alice outcome i and Bob outcome j."""
         return kron(projector(self.alice_basis[i]), projector(self.bob_bases[i][j]))
-
-
-@dataclass(frozen=True)
-class ProductMeasurement:
-    """A fixed product projective measurement with an outcome-to-label map."""
-
-    alice_basis: np.ndarray
-    bob_basis: np.ndarray
-    assignment: np.ndarray
-
-    def __post_init__(self):
-        alice = _check_basis(self.alice_basis, "Alice basis", InvalidMeasurementError)
-        bob = _check_basis(self.bob_basis, "Bob basis", InvalidMeasurementError)
-        assign = np.asarray(self.assignment)
-        if assign.shape != (2, 2) or not np.isin(assign, (0, 1)).all():
-            raise InvalidMeasurementError("assignment must be a 2x2 array of labels 0/1")
-        object.__setattr__(self, "alice_basis", _read_only(alice))
-        object.__setattr__(self, "bob_basis", _read_only(bob))
-        object.__setattr__(self, "assignment", _read_only(assign.astype(int)))
-
-    def projector(self, a: int, b: int) -> np.ndarray:
-        return kron(projector(self.alice_basis[a]), projector(self.bob_basis[b]))
 
 
 @dataclass(frozen=True)
@@ -289,23 +267,21 @@ def ff_success_probability(
     rho1: DensityMatrix2Q,
     priors: PriorPair = EQUAL_PRIORS,
 ) -> float:
-    """Average success probability of a feed-forward protocol.
+    """Average success probability of a one-way protocol, with feed-forward
+    or without it (equal Bob bases, as optimize_local_projective returns).
 
     Sums p_label Tr(rho_label P_ij) over the four outcome branches, where
-    the label is the protocol's guess for branch (i, j).
+    the label is the protocol's guess for branch (i, j).  The projectors
+    resolve the identity because the protocol's bases were checked
+    orthonormal when it was built.
     """
     _check_priors(priors)
     rhos = (rho0.mat, rho1.mat)
     total = 0.0
-    completeness = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
-            proj = protocol.projector(i, j)
-            completeness += proj
             label = int(protocol.guess_map[i, j])
-            total += priors[label] * float(np.trace(rhos[label] @ proj).real)
-    if np.abs(completeness - ID4).max() > BASIS_ATOL:
-        raise InvalidProtocolError("protocol projectors do not resolve the identity")
+            total += priors[label] * float(np.trace(rhos[label] @ protocol.projector(i, j)).real)
     return total
 
 
@@ -322,24 +298,6 @@ def helstrom_bound(
     _check_priors(priors)
     delta = priors.p0 * rho0.mat - priors.p1 * rho1.mat
     return 0.5 * (1.0 + linalg.trace_norm(delta))
-
-
-def product_success_probability(
-    measurement: ProductMeasurement,
-    rho0: DensityMatrix2Q,
-    rho1: DensityMatrix2Q,
-    priors: PriorPair = EQUAL_PRIORS,
-) -> float:
-    """Average success probability of a fixed product measurement."""
-    _check_priors(priors)
-    rhos = (rho0.mat, rho1.mat)
-    total = 0.0
-    for a in range(2):
-        for b in range(2):
-            label = int(measurement.assignment[a, b])
-            proj = measurement.projector(a, b)
-            total += priors[label] * float(np.trace(rhos[label] @ proj).real)
-    return total
 
 
 # Pauli basis I, X, Y, Z, and the 3x3 zoom pattern with its centre first.
@@ -408,7 +366,7 @@ def optimize_local_projective(
     rho1: DensityMatrix2Q,
     priors: PriorPair = EQUAL_PRIORS,
     config: OptimizerConfig | None = None,
-) -> tuple[ProductMeasurement, float]:
+) -> tuple[FeedForwardProtocol, float]:
     """Best fixed product projective measurement for a state pair.
 
     With T[mu, nu] = Tr[(sigma_mu (x) sigma_nu)(p0 rho0 - p1 rho1)], Alice's
@@ -421,7 +379,8 @@ def optimize_local_projective(
     alone: on the config's grid, then zoomed from its best points and +/-u.
     Outcomes go to the larger weighted probability (label 0 wins ties) and
     the value is re-evaluated at the winning measurement, so reruns agree
-    bit for bit.
+    bit for bit.  The measurement is returned as a FeedForwardProtocol whose
+    two Bob bases are equal, scored by ff_success_probability.
     """
     _check_priors(priors)
     cfg = config or OptimizerConfig()
@@ -444,8 +403,10 @@ def optimize_local_projective(
     kets = kron(ua, ub)  # rows: the product kets, Alice's outcome major
     q0, q1 = (np.einsum("oj,jk,ok->o", kets.conj(), r.mat, kets).real for r in (rho0, rho1))
     assignment = np.where(priors.p0 * q0 >= priors.p1 * q1, 0, 1).reshape(2, 2)
-    measurement = ProductMeasurement(alice_basis=ua, bob_basis=ub, assignment=assignment)
-    return measurement, product_success_probability(measurement, rho0, rho1, priors)
+    protocol = FeedForwardProtocol(
+        alice_basis=ua, bob_bases=np.stack([ub, ub]), guess_map=assignment
+    )
+    return protocol, ff_success_probability(protocol, rho0, rho1, priors)
 
 
 def advantage(

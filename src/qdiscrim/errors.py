@@ -33,10 +33,6 @@ class InvalidProtocolError(DiscriminationError):
     """A feed-forward protocol violates its orthonormality constraints."""
 
 
-class InvalidMeasurementError(DiscriminationError):
-    """A product measurement violates its orthonormality constraints."""
-
-
 class IncompletePOVMError(DiscriminationError):
     """POVM elements do not sum to the identity within tolerance."""
 

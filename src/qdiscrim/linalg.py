@@ -65,10 +65,6 @@ def perp2(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
 
 
-def is_normalized(v: np.ndarray, atol: float = NORM_ATOL) -> bool:
-    return bool(abs(np.linalg.norm(v) - 1.0) <= atol)
-
-
 def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
     """Return ``m`` as a complex array, raising NotUnitaryError when m m^† != I."""
     m = np.asarray(m, dtype=complex)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .discrimination import FeedForwardProtocol
-from .errors import EmptyCountsError, IncompletePOVMError
+from .errors import EmptyCountsError, IncompletePOVMError, InvalidProtocolError
 from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, kron, projector
 from .states import DensityMatrix2Q
 
@@ -200,10 +200,18 @@ def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarra
 
     Alice outcome 0 is her transmitted arm T_a (the branch that triggers
     the feed-forward switch), Bob outcome 0 is T_b; labels follow
-    COINCIDENCE_LABELS order.
+    COINCIDENCE_LABELS order.  ``estimate`` reads T_b as the label-0 guess,
+    so a protocol whose guess_map is not [[0, 1], [0, 1]] raises
+    InvalidProtocolError.
     """
     if not isinstance(protocol, FeedForwardProtocol):
         raise TypeError("expected a FeedForwardProtocol")
+    if protocol.guess_map.tolist() != [[0, 1], [0, 1]]:
+        raise InvalidProtocolError(
+            f"guess_map {protocol.guess_map.tolist()} does not follow the T_b convention: "
+            "Bob's outcome 0 (T_b) must guess label 0 and outcome 1 (R_b) label 1 "
+            "in both branches"
+        )
     elements = []
     for label, (i, j) in zip(COINCIDENCE_LABELS, ((0, 0), (0, 1), (1, 0), (1, 1))):
         elements.append((label, protocol.projector(i, j)))

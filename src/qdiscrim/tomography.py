@@ -30,7 +30,8 @@ NJP 14, 095017 (2012)):
     max f - f(tau) <= gap = lambda_max(sum_s (n_s / p~_s) Pi~_s) - N,
 
 one 4x4 eigenvalue problem per iterate.  The solver stops as soon as the
-gap is within gap_tolerance, and reports the gap either way.
+gap is within gap_tolerance; otherwise it returns the iterate of smallest
+gap, and reports the gap either way.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .linalg import ID2, PAULI_Y, PAULI_Z, kron
 from .measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
-from .states import DensityMatrix2Q, PureState2Q, fidelity_pure
+from .states import DensityMatrix2Q
 
 _PROB_FLOOR = 1e-15
 # Armijo sufficient-increase fraction, and the smallest step tried before the
@@ -198,8 +199,9 @@ def mle_reconstruct(
     Starts from the maximally mixed state and takes barrier Newton steps
     until the certified gap is at most gap_tolerance or max_iterations
     steps are spent; running out of steps returns converged=False with the
-    gap reached.  ``callback``, when given, is invoked as
-    callback(iteration, rho_array, log_likelihood) after every step.
+    iterate of smallest gap seen, and that gap.  ``callback``, when given,
+    is invoked as callback(iteration, rho_array, log_likelihood) after
+    every step.
     """
     cfg = config or MLEConfig()
     design, counts, exposure = _record_arrays(record)
@@ -221,10 +223,13 @@ def mle_reconstruct(
     mu = total / 4.0
     mu_floor = cfg.gap_tolerance / 20.0
     iterations = 0
+    best_gap, best_tau = np.inf, tau
     while True:
         weights = counts / probs
         grad = weights @ a
         gap = _gap(grad, x)
+        if gap < best_gap:
+            best_gap, best_tau = gap, tau
         if gap <= cfg.gap_tolerance or iterations == cfg.max_iterations:
             break
         inv = np.linalg.inv(tau)
@@ -260,16 +265,13 @@ def mle_reconstruct(
             ll = _ll_of_probs(setting_probabilities(rho, design), counts, exposure)
             callback(iterations, rho, ll)
 
-    rho = DensityMatrix2Q.from_external(to_rho(tau))
+    # Far below rounding the gap can grow again; the best-certified iterate is
+    # returned (a converged run's last iterate is always its best).
+    rho = DensityMatrix2Q.from_external(to_rho(best_tau))
     return MLEResult(
         rho=rho,
         log_likelihood=_ll_of_probs(setting_probabilities(rho.mat, design), counts, exposure),
         iterations=iterations,
-        converged=gap <= cfg.gap_tolerance,
-        gap=gap,
+        converged=best_gap <= cfg.gap_tolerance,
+        gap=best_gap,
     )
-
-
-def fidelity_report(result: MLEResult, target: PureState2Q) -> float:
-    """Fidelity of a reconstruction with a pure target state."""
-    return fidelity_pure(result.rho, target)

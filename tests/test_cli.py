@@ -196,6 +196,17 @@ def test_exit_code_2_wrong_value_type(tmp_path, capsys):
     assert "theta0_deg" in err
 
 
+@pytest.mark.parametrize(
+    "experiment, key", [("pair", "n_events"), ("tomo", "n_per_setting")]
+)
+def test_exit_code_2_count_beyond_the_samplers(tmp_path, capsys, experiment, key):
+    config = {"master_seed": 7, key: 10**20}
+    code, _, err = run_cli(tmp_path, capsys, experiment, config)
+    assert code == 2
+    assert "config error" in err
+    assert key in err
+
+
 def test_exit_code_2_missing_file(tmp_path, capsys):
     code = main(["pair", "--config", str(tmp_path / "absent.json")])
     assert code == 2

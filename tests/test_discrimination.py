@@ -10,7 +10,6 @@ from qdiscrim import (
     NotTracelessError,
     OptimizerConfig,
     PriorPair,
-    ProductMeasurement,
     advantage,
     canonical_protocol,
     ff_success_probability,
@@ -19,7 +18,6 @@ from qdiscrim import (
     optimize_local_projective,
     phi0,
     phi1,
-    product_success_probability,
     psi_pair,
     walgate_decompose,
 )
@@ -264,17 +262,18 @@ def test_ff_success_on_werner_pair_is_visibility_law():
 # ---------------------------------------------------------------- product (no feed-forward)
 
 
-def test_product_success_probability_simple_cases():
-    meas = ProductMeasurement(
+def test_ff_success_probability_of_a_product_measurement():
+    # Equal Bob bases: a fixed product measurement, with no feed-forward.
+    meas = FeedForwardProtocol(
         alice_basis=np.eye(2, dtype=complex),
-        bob_basis=np.eye(2, dtype=complex),
-        assignment=np.array([[0, 0], [1, 1]]),
+        bob_bases=np.stack([np.eye(2, dtype=complex)] * 2),
+        guess_map=np.array([[0, 0], [1, 1]]),
     )
     hh = PureState2Q(np.array([1, 0, 0, 0], dtype=complex)).density()
     vv = PureState2Q(np.array([0, 0, 0, 1], dtype=complex)).density()
-    assert abs(product_success_probability(meas, hh, vv) - 1.0) < 1e-12
+    assert abs(ff_success_probability(meas, hh, vv) - 1.0) < 1e-12
     mixed = DensityMatrix2Q(np.eye(4, dtype=complex) / 4)
-    assert abs(product_success_probability(meas, mixed, mixed) - 0.5) < 1e-12
+    assert abs(ff_success_probability(meas, mixed, mixed) - 0.5) < 1e-12
 
 
 def test_optimizer_finds_known_optimum_for_fixed_pair():
@@ -288,7 +287,7 @@ def test_optimizer_reaches_one_for_distinguishable_product_bases():
     vv = PureState2Q(np.array([0, 0, 0, 1], dtype=complex)).density()
     meas, value = optimize_local_projective(hh, vv, config=LIGHT)
     assert abs(value - 1.0) < 1e-9
-    assert int(meas.assignment[0, 0]) != int(meas.assignment[1, 1])
+    assert int(meas.guess_map[0, 0]) != int(meas.guess_map[1, 1])
 
 
 def test_optimizer_on_identical_states_gives_half():
@@ -320,8 +319,8 @@ def test_optimizer_reproducible_bit_for_bit():
     m2, v2 = optimize_local_projective(r0, r1, config=LIGHT)
     assert v1 == v2
     assert np.array_equal(m1.alice_basis, m2.alice_basis)
-    assert np.array_equal(m1.bob_basis, m2.bob_basis)
-    assert np.array_equal(m1.assignment, m2.assignment)
+    assert np.array_equal(m1.bob_bases, m2.bob_bases)
+    assert np.array_equal(m1.guess_map, m2.guess_map)
 
 
 def _alice_kets(dirs: np.ndarray):
@@ -394,7 +393,9 @@ def test_optimizer_matches_dense_search_on_random_pairs(rng):
         meas, value = optimize_local_projective(r0, r1, priors)
         assert value >= dense_no_ff_search(r0, r1, priors) - 1e-12
         assert value <= helstrom_bound(r0, r1, priors) + 1e-12
-        assert value == product_success_probability(meas, r0, r1, priors)
+        assert isinstance(meas, FeedForwardProtocol)
+        assert np.array_equal(meas.bob_bases[0], meas.bob_bases[1])
+        assert value == ff_success_probability(meas, r0, r1, priors)
 
 
 def test_optimizer_config_json_roundtrip():

@@ -6,10 +6,13 @@ from qdiscrim import (
     CoincidenceCounts,
     DensityMatrix2Q,
     EmptyCountsError,
+    FeedForwardProtocol,
     IncompletePOVMError,
+    InvalidProtocolError,
     PureState2Q,
     canonical_protocol,
     estimate,
+    ff_success_probability,
     phi0,
     phi1,
     protocol_to_povm,
@@ -38,6 +41,23 @@ def test_protocol_to_povm_labels_and_canonical_element():
     zu = np.array([np.sqrt(3) / 2, -0.5], dtype=complex)
     want = kron(projector(np.array([1, 0], dtype=complex)), projector(zu))
     assert np.abs(povm[0][1] - want).max() < 1e-12
+
+
+def test_protocol_to_povm_requires_the_t_b_guess_map():
+    # Swapping Bob's outcomes and the guesses with them is the same measurement,
+    # but estimate reads T_b as label 0, so its sampled success would be wrong.
+    walgate = walgate_decompose(phi0(30.0), phi1(60.0))
+    swapped = FeedForwardProtocol(
+        alice_basis=walgate.alice_basis,
+        bob_bases=walgate.bob_bases[:, ::-1],
+        guess_map=np.array([[1, 0], [1, 0]]),
+    )
+    rho0, rho1 = werner_noise(phi0(30.0), 0.9), werner_noise(phi1(60.0), 0.9)
+    assert abs(ff_success_probability(swapped, rho0, rho1) - 0.95) < 1e-12
+    with pytest.raises(InvalidProtocolError, match="T_b"):
+        protocol_to_povm(swapped)
+    for protocol in (walgate, canonical_protocol()):
+        assert len(protocol_to_povm(protocol)) == 4
 
 
 def test_povm_completeness_for_random_protocols(rng):

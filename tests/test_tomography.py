@@ -7,7 +7,6 @@ from qdiscrim import (
     MLEResult,
     PureState2Q,
     fidelity_pure,
-    fidelity_report,
     log_likelihood,
     mle_reconstruct,
     phi0,
@@ -201,10 +200,10 @@ def test_mle_config_validation_and_roundtrip():
             MLEConfig.from_json({"max_iterations": 10, key: 0.5})
 
 
-def test_fidelity_report_and_result_serialisation():
+def test_fidelity_and_result_serialisation():
     record = noiseless_record(HH.density(), 10**5)
     result = mle_reconstruct(record)
-    assert fidelity_report(result, HH) >= 1.0 - 1e-4
+    assert fidelity_pure(result.rho, HH) >= 1.0 - 1e-4
     data = result.to_json()
     assert set(data) == {"rho", "log_likelihood", "iterations", "converged", "gap"}
     back = DensityMatrix2Q.from_json(data["rho"])
@@ -331,6 +330,18 @@ def test_mle_certifies_noiseless_rank2_records(exposed):
         assert result.converged
         assert 0.0 <= result.gap <= tolerance
         assert trace_norm(result.rho.mat - truth.mat) / 2 < 1e-4
+
+
+def test_mle_returns_the_best_certified_iterate():
+    # Far below the rounding floor the gap grows again after about 56 steps;
+    # a longer budget must not return a worse certificate.
+    record = noiseless_record(random_density(np.random.default_rng(3), 2), 10**6)
+    gaps = [
+        mle_reconstruct(record, MLEConfig(max_iterations=k, gap_tolerance=1e-12)).gap
+        for k in (40, 80, 120, 200)
+    ]
+    assert gaps == sorted(gaps, reverse=True)
+    assert gaps[-1] <= 1.6e-6
 
 
 def test_mle_gap_bounds_distance_to_a_tighter_solve():
