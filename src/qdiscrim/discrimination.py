@@ -107,8 +107,9 @@ class OptimizerConfig:
 
     polar_points x azimuth_points is the grid of Alice directions over the
     sphere; its best refine_starts points and two closed-form starts are
-    zoomed (0: no zoom, the best grid point stays); max_refine_iterations
-    caps the zoom rounds; simplex_tol (radians) is the step that ends one.
+    polished by Newton steps on the sphere (0: no polish, the best grid point
+    stays); max_refine_iterations caps the steps; a start stops when no step
+    gains or its step is shorter than simplex_tol (radians).
     """
 
     polar_points: int = 24
@@ -300,9 +301,11 @@ def helstrom_bound(
     return 0.5 * (1.0 + linalg.trace_norm(delta))
 
 
-# Pauli basis I, X, Y, Z, and the 3x3 zoom pattern with its centre first.
+# Pauli basis I, X, Y, Z.
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PATTERN = np.array([(0, 0)] + [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
+# A Newton system whose determinant is below this share of its scale squared
+# counts as singular.
+_SINGULAR = 1e-10
 
 
 def _mixed_term(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
@@ -317,25 +320,60 @@ def _directions(angles: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
 
 
-def _zoom(table: np.ndarray, alice: np.ndarray, step: float, cfg: OptimizerConfig):
-    """3x3 pattern search of the mixed term over Bloch angles of a frame with each
-    start on its equator; a step halves when no neighbour gains."""
-    e1 = np.cross(alice, np.where(abs(alice[:, :1]) < 0.9, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    frames = np.stack([alice, e1, np.cross(alice, e1)], axis=1)  # rows: the frame's axes
-    angles = np.full((len(alice), 2), (np.pi / 2.0, 0.0))
-    steps = np.full(len(alice), step)
+def _polish(table: np.ndarray, alice: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+    """Safeguarded Newton ascent of the mixed term on the sphere, all starts at once.
+
+    f(m) = |T00 + t.m| + |r| with r = s - M^T m has gradient
+    g = sign(T00 + t.m) t - M r/|r| and Hessian H = M (I - r r^T/|r|^2) M^T / |r|.
+    Each step solves the bordered system [[H - (g.m) I, m], [m^T, 0]] [v; l] =
+    [(g.m) m - g; 0] for the tangent Newton step v, then keeps the best of
+    staying, (m + v)/|m + v| and g/|g|.  f is convex, so g/|g| never scores
+    below m and no step loses value.  A start stops when staying wins or its
+    step is shorter than simplex_tol.
+    """
+    t, s, mt = table[1:, 0], table[0, 1:], table[1:, 1:]
+    mmt, eye = mt @ mt.T, np.eye(4)
     rows = np.arange(len(alice))
+    system = np.zeros((len(alice), 4, 4))
+    block = system[:, :3, :3]
+    rhs = np.zeros((len(alice), 4, 1))
+    cand = np.empty((len(alice), 3, 3))  # stay, Newton, ascent
+    scores = np.empty((len(alice), 3))
+    # At |r| <= kink the norm's gradient r/|r| is taken as 0 and H as 0.
+    kink = 1e-12 * np.abs(table).max()
+    live = np.ones(len(alice), dtype=bool)
     for _ in range(cfg.max_refine_iterations):
-        live = steps >= cfg.simplex_tol
+        u = alice @ table[1:]
+        c, r = table[0, 0] + u[:, 0], s - u[:, 1:]
+        norm_r = np.linalg.norm(r, axis=-1)
+        scores[:, 0] = np.abs(c) + norm_r  # _mixed_term at alice
+        smooth = norm_r > kink
+        inv_r = smooth / np.where(smooth, norm_r, 1.0)
+        q = (r * inv_r[:, None]) @ mt.T  # M r/|r|
+        g = np.sign(c)[:, None] * t - q
+        gm = (g * alice).sum(axis=1)
+        np.multiply(mmt - q[:, :, None] * q[:, None, :], inv_r[:, None, None], out=block)
+        block -= gm[:, None, None] * eye[:3, :3]
+        system[:, :3, 3] = system[:, 3, :3] = alice
+        rhs[:, :3, 0] = gm[:, None] * alice - g
+        # A ridge of maxima, or no curvature at all, makes the system singular.
+        scale = np.abs(block).max(axis=(1, 2))
+        solvable = np.abs(np.linalg.det(system)) > _SINGULAR * scale * scale
+        step = np.linalg.solve(np.where(solvable[:, None, None], system, eye), rhs)
+        newton = alice + solvable[:, None] * step[:, :3, 0]
+        norm_g = np.linalg.norm(g, axis=1, keepdims=True)
+        cand[:, 0] = cand[:, 2] = alice
+        cand[:, 1] = newton / np.linalg.norm(newton, axis=1, keepdims=True)
+        np.divide(g, norm_g, out=cand[:, 2], where=norm_g > 0.0)
+        scores[:, 1:] = _mixed_term(table, cand[:, 1:])
+        k = scores.argmax(axis=1)  # staying wins ties
+        moved = live & (k != 0)
+        best = cand[rows, k]
+        live = moved & (((best - alice) ** 2).sum(axis=1) >= cfg.simplex_tol**2)
+        alice = np.where(moved[:, None], best, alice)
         if not live.any():
             break
-        cand = angles[:, None, :] + steps[:, None, None] * _PATTERN
-        k = _mixed_term(table, _directions(cand) @ frames).argmax(axis=1)
-        moved = live & (k != 0)
-        angles = np.where(moved[:, None], cand[rows, k], angles)
-        steps = np.where(live & ~moved, steps / 2.0, steps)
-    return (_directions(angles)[:, None] @ frames)[:, 0]
+    return alice
 
 
 def _best_product(table: np.ndarray, alice: np.ndarray):
@@ -376,7 +414,9 @@ def optimize_local_projective(
     optimum is 1/2 plus the largest of |c+| + |c-| (best m along T[1:,0]),
     |r+ + r-| (any m), |r+ - r-| (m = +/-u, the top left singular vector of
     T[1:,1:]) and the mixed term |c+| + |r-| (|c-| + |r+| at -m), searched
-    alone: on the config's grid, then zoomed from its best points and +/-u.
+    alone: on the config's grid, then by safeguarded Newton ascent on the
+    sphere from its best points and +/-u, each step taking the Newton point
+    only when it beats both staying and the ascent point g/|g| (see _polish).
     Outcomes go to the larger weighted probability (label 0 wins ties) and
     the value is re-evaluated at the winning measurement, so reruns agree
     bit for bit.  The measurement is returned as a FeedForwardProtocol whose
@@ -395,8 +435,8 @@ def optimize_local_projective(
     u = np.linalg.svd(table[1:, 1:])[0][:, 0]
     starts = grid[np.argsort(-score, kind="stable")[: max(cfg.refine_starts, 1)]]
     if cfg.refine_starts:
-        # The mixed term's |m^T T[1:,1:]| part peaks at +/-u: zoom from there too.
-        starts = _zoom(table, np.vstack([starts, u, -u]), np.pi / cfg.polar_points, cfg)
+        # The mixed term's |m^T T[1:,1:]| part peaks at +/-u: polish from there too.
+        starts = _polish(table, np.vstack([starts, u, -u]), cfg)
     alice, bob = _best_product(table, np.vstack([starts, a, u]))
 
     ua, ub = _basis(alice), _basis(bob)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,88 @@ def test_optimizer_matches_dense_search_on_random_pairs(rng):
         assert isinstance(meas, FeedForwardProtocol)
         assert np.array_equal(meas.bob_bases[0], meas.bob_bases[1])
         assert value == ff_success_probability(meas, r0, r1, priors)
+
+
+def _pure(*amplitudes) -> DensityMatrix2Q:
+    vec = np.array(amplitudes, dtype=complex)
+    return PureState2Q(vec / np.linalg.norm(vec)).density()
+
+
+DEGENERATE_PAIRS = {
+    # Ridges: a whole circle of Alice directions is optimal.
+    "phi+/phi-": (_pure(1, 0, 0, 1), _pure(1, 0, 0, -1), 1.0),
+    "phi+/psi+": (_pure(1, 0, 0, 1), _pure(0, 1, 1, 0), 1.0),
+    "identical": (phi0(30.0).density(), phi0(30.0).density(), 0.5),
+    "HH/VV": (_pure(1, 0, 0, 0), _pure(0, 0, 0, 1), 1.0),
+    # Product pairs at the corners of the default grid.
+    "grid 0/0": (werner_noise(phi0(0.0), 0.956), werner_noise(phi1(0.0), 0.956), None),
+    "grid 90/90": (werner_noise(phi0(90.0), 0.956), werner_noise(phi1(90.0), 0.956), None),
+    "grid 0/90": (werner_noise(phi0(0.0), 0.956), werner_noise(phi1(90.0), 0.956), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_PAIRS))
+def test_optimizer_on_degenerate_pairs_is_clean(name):
+    # Singular Newton systems, r = 0 and g = 0 must neither warn nor raise.
+    r0, r1, expected = DEGENERATE_PAIRS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, value = optimize_local_projective(r0, r1)
+    assert value <= helstrom_bound(r0, r1) + 1e-12
+    if expected is not None:
+        assert abs(value - expected) < 1e-12
+
+
+def test_optimizer_polish_converges_in_few_steps(rng):
+    # Newton steps converge quadratically: a cap of 30 steps gives the value
+    # of the default cap of 500.
+    capped = OptimizerConfig(max_refine_iterations=30)
+    for i in range(100):
+        r0, r1 = random_density(rng, 1 + i % 4), random_density(rng, 1 + i % 4)
+        p = rng.uniform(0.05, 0.3)
+        priors = PriorPair(p, 1.0 - p) if i % 2 else PriorPair(1.0 - p, p)
+        _, full = optimize_local_projective(r0, r1, priors)
+        _, short = optimize_local_projective(r0, r1, priors, capped)
+        assert abs(full - short) <= 1e-14
+
+
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _bloch(ket: np.ndarray) -> np.ndarray:
+    a, b = ket
+    return np.array([2 * (a.conj() * b).real, 2 * (a.conj() * b).imag, abs(a) ** 2 - abs(b) ** 2])
+
+
+def test_optimizer_without_polish_keeps_the_best_grid_point(rng):
+    # refine_starts=0 is the grid-only optimiser that the benchmark times alone.
+    cfg = OptimizerConfig()
+    grid_only = OptimizerConfig(refine_starts=0)
+    t = np.pi * (np.arange(cfg.polar_points) + 0.5) / cfg.polar_points
+    p = 2.0 * np.pi * np.arange(cfg.azimuth_points) / cfg.azimuth_points
+    tt, pp = np.meshgrid(t, p, indexing="ij")
+    grid = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], -1)
+    grid = grid.reshape(-1, 3)
+    gained = 0
+    for i in range(30):
+        r0, r1 = random_density(rng, 1 + i % 4), random_density(rng, 1 + i % 4)
+        priors = PriorPair(0.3, 0.7) if i % 2 else EQUAL_PRIORS
+        meas, coarse = optimize_local_projective(r0, r1, priors, grid_only)
+        _, polished = optimize_local_projective(r0, r1, priors)
+        # No grid direction does better than the grid-only result ...
+        assert coarse >= brute_force_success(r0, r1, priors, grid).max() - 1e-12
+        # ... and the polish never loses value.
+        assert polished >= coarse - 1e-15
+        gained += polished > coarse + 1e-9
+        # Without polish, Alice measures along a grid point or a closed-form
+        # direction, the only other candidates.
+        d = (priors.p0 * r0.mat - priors.p1 * r1.mat).reshape(2, 2, 2, 2)
+        table = np.einsum("mca,neb,abce->mn", PAULIS, PAULIS, d).real
+        u = np.linalg.svd(table[1:, 1:])[0][:, 0]
+        allowed = np.vstack([grid, table[1:, 0] / np.linalg.norm(table[1:, 0]), u])
+        alice = _bloch(meas.alice_basis[0])
+        assert np.linalg.norm(allowed - alice, axis=1).min() < 1e-7
+    assert gained >= 10
 
 
 def test_optimizer_config_json_roundtrip():
