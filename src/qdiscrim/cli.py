@@ -30,7 +30,6 @@ import numpy as np
 from . import __version__
 from .discrimination import (
     EQUAL_PRIORS,
-    OptimizerConfig,
     canonical_protocol,
     ff_success_probability,
     helstrom_bound,
@@ -90,7 +89,6 @@ class ExperimentConfig:
     state: str = "phi0"
     output_path: str | None = None
     format: str = "json"
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     mle: MLEConfig = field(default_factory=MLEConfig)
 
     def validate(self) -> None:
@@ -137,7 +135,7 @@ class ExperimentConfig:
             if f.name == "output_path":
                 continue
             val = getattr(self, f.name)
-            if f.name in ("optimizer", "mle"):
+            if f.name == "mle":
                 val = val.to_json()
             out[f.name] = val
         return out
@@ -181,8 +179,6 @@ def load_config(path: str, overrides: dict) -> ExperimentConfig:
         raise ConfigError("config must name the experiment to run")
     _check_types(ExperimentConfig, raw)
     try:
-        if "optimizer" in raw:
-            raw["optimizer"] = OptimizerConfig.from_json(raw["optimizer"])
         if "mle" in raw:
             raw["mle"] = MLEConfig.from_json(raw["mle"])
         cfg = ExperimentConfig(**raw)
@@ -221,7 +217,7 @@ def _pair_row(theta0: float, theta1: float, cfg: ExperimentConfig, row_index: in
     counts0 = sample_coincidences(rho0, povm, cfg.n_events, seed0)
     counts1 = sample_coincidences(rho1, povm, cfg.n_events, seed1)
     est = estimate(counts0, counts1)
-    _, no_ff = optimize_local_projective(rho0, rho1, EQUAL_PRIORS, cfg.optimizer)
+    _, no_ff = optimize_local_projective(rho0, rho1, EQUAL_PRIORS)
     return {
         "row_index": row_index,
         "theta0_deg": theta0,
@@ -260,10 +256,8 @@ def _curve_row(eta: float, cfg: ExperimentConfig, row_index: int) -> dict:
     counts0 = sample_coincidences(rho0, povm, cfg.n_events, seed0)
     counts1 = sample_coincidences(rho1, povm, cfg.n_events, seed1)
     est = estimate(counts0, counts1)
-    _, no_ff_ideal = optimize_local_projective(
-        rho0_ideal, rho1_ideal, EQUAL_PRIORS, cfg.optimizer
-    )
-    _, no_ff_noisy = optimize_local_projective(rho0, rho1, EQUAL_PRIORS, cfg.optimizer)
+    _, no_ff_ideal = optimize_local_projective(rho0_ideal, rho1_ideal, EQUAL_PRIORS)
+    _, no_ff_noisy = optimize_local_projective(rho0, rho1, EQUAL_PRIORS)
     return {
         "row_index": row_index,
         "eta_deg": eta,
@@ -344,7 +338,7 @@ def run_optimize(cfg: ExperimentConfig) -> dict:
         ideal0, ideal1 = phi0(cfg.theta0_deg), phi1(cfg.theta1_deg)
     rho0 = werner_noise(ideal0, cfg.noise_v)
     rho1 = werner_noise(ideal1, cfg.noise_v)
-    protocol, value = optimize_local_projective(rho0, rho1, EQUAL_PRIORS, cfg.optimizer)
+    protocol, value = optimize_local_projective(rho0, rho1, EQUAL_PRIORS)
     return {
         "optimize": {
             "value": value,

@@ -15,7 +15,7 @@ quantifies the value of the classical side channel.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,39 +103,19 @@ class FeedForwardProtocol:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Search settings for Alice's direction in the no-feed-forward optimiser.
+    """Search setting for Alice's direction in the no-feed-forward optimiser.
 
-    polar_points x azimuth_points is the grid of Alice directions over the
-    sphere; its best refine_starts points and two closed-form starts are
-    polished by Newton steps on the sphere (0: no polish, the best grid point
-    stays); max_refine_iterations caps the steps; a start stops when no step
-    gains or its step is shorter than simplex_tol (radians).
+    The best refine_starts points of the fixed 24 x 12 sphere grid, and two
+    closed-form starts, are polished by Newton steps on the sphere (0: no
+    polish, the best grid point stays).  It is a library-only setting: the
+    CLI always runs the default.
     """
 
-    polar_points: int = 24
-    azimuth_points: int = 12
     refine_starts: int = 8
-    simplex_tol: float = 1e-10
-    max_refine_iterations: int = 500
 
     def __post_init__(self):
-        if self.polar_points < 2 or self.azimuth_points < 1:
-            raise ValueError("grid must have at least 2 polar and 1 azimuthal points")
-        if self.refine_starts < 0 or self.max_refine_iterations < 1:
-            raise ValueError("invalid refinement settings")
-        if not 0.0 < self.simplex_tol < 1.0:
-            raise ValueError("simplex_tol must lie in (0, 1)")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "OptimizerConfig":
-        known = {f: data[f] for f in data}
-        unknown = set(known) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown optimizer keys: {sorted(unknown)}")
-        return cls(**known)
+        if self.refine_starts < 0:
+            raise ValueError("refine_starts must be nonnegative")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -306,6 +286,10 @@ _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1
 # A Newton system whose determinant is below this share of its scale squared
 # counts as singular.
 _SINGULAR = 1e-10
+# The polish takes at most this many steps, and a start stops once its step
+# is shorter than _STEP_TOL radians.
+_MAX_STEPS = 30
+_STEP_TOL = 1e-10
 
 
 def _mixed_term(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
@@ -320,7 +304,19 @@ def _directions(angles: np.ndarray) -> np.ndarray:
     return np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1)
 
 
-def _polish(table: np.ndarray, alice: np.ndarray, cfg: OptimizerConfig) -> np.ndarray:
+def _sphere_grid(polar: int, azimuth: int) -> np.ndarray:
+    """polar x azimuth unit vectors, polar angles at the midpoints of equal steps."""
+    t = np.pi * (np.arange(polar) + 0.5) / polar
+    p = 2.0 * np.pi * np.arange(azimuth) / azimuth
+    grid = _directions(np.stack(np.meshgrid(t, p, indexing="ij"), axis=-1))
+    return _read_only(grid.reshape(-1, 3))
+
+
+# Alice directions scored before the polish.
+_GRID = _sphere_grid(24, 12)
+
+
+def _polish(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
     """Safeguarded Newton ascent of the mixed term on the sphere, all starts at once.
 
     f(m) = |T00 + t.m| + |r| with r = s - M^T m has gradient
@@ -329,7 +325,8 @@ def _polish(table: np.ndarray, alice: np.ndarray, cfg: OptimizerConfig) -> np.nd
     [(g.m) m - g; 0] for the tangent Newton step v, then keeps the best of
     staying, (m + v)/|m + v| and g/|g|.  f is convex, so g/|g| never scores
     below m and no step loses value.  A start stops when staying wins or its
-    step is shorter than simplex_tol.
+    step is shorter than _STEP_TOL; all stop after _MAX_STEPS steps, by which
+    the winning start has settled (losing starts may still be climbing).
     """
     t, s, mt = table[1:, 0], table[0, 1:], table[1:, 1:]
     mmt, eye = mt @ mt.T, np.eye(4)
@@ -342,7 +339,7 @@ def _polish(table: np.ndarray, alice: np.ndarray, cfg: OptimizerConfig) -> np.nd
     # At |r| <= kink the norm's gradient r/|r| is taken as 0 and H as 0.
     kink = 1e-12 * np.abs(table).max()
     live = np.ones(len(alice), dtype=bool)
-    for _ in range(cfg.max_refine_iterations):
+    for _ in range(_MAX_STEPS):
         u = alice @ table[1:]
         c, r = table[0, 0] + u[:, 0], s - u[:, 1:]
         norm_r = np.linalg.norm(r, axis=-1)
@@ -369,7 +366,7 @@ def _polish(table: np.ndarray, alice: np.ndarray, cfg: OptimizerConfig) -> np.nd
         k = scores.argmax(axis=1)  # staying wins ties
         moved = live & (k != 0)
         best = cand[rows, k]
-        live = moved & (((best - alice) ** 2).sum(axis=1) >= cfg.simplex_tol**2)
+        live = moved & (((best - alice) ** 2).sum(axis=1) >= _STEP_TOL**2)
         alice = np.where(moved[:, None], best, alice)
         if not live.any():
             break
@@ -414,9 +411,10 @@ def optimize_local_projective(
     optimum is 1/2 plus the largest of |c+| + |c-| (best m along T[1:,0]),
     |r+ + r-| (any m), |r+ - r-| (m = +/-u, the top left singular vector of
     T[1:,1:]) and the mixed term |c+| + |r-| (|c-| + |r+| at -m), searched
-    alone: on the config's grid, then by safeguarded Newton ascent on the
-    sphere from its best points and +/-u, each step taking the Newton point
-    only when it beats both staying and the ascent point g/|g| (see _polish).
+    alone: on a fixed 24 x 12 grid of directions, then by at most 30
+    safeguarded Newton steps on the sphere from the config's refine_starts
+    best grid points and +/-u, each step taking the Newton point only when
+    it beats both staying and the ascent point g/|g| (see _polish).
     Outcomes go to the larger weighted probability (label 0 wins ties) and
     the value is re-evaluated at the winning measurement, so reruns agree
     bit for bit.  The measurement is returned as a FeedForwardProtocol whose
@@ -427,16 +425,13 @@ def optimize_local_projective(
     d = (priors.p0 * rho0.mat - priors.p1 * rho1.mat).reshape(2, 2, 2, 2)
     table = np.einsum("mca,neb,abce->mn", _PAULIS, _PAULIS, d).real
 
-    t = np.pi * (np.arange(cfg.polar_points) + 0.5) / cfg.polar_points
-    p = 2.0 * np.pi * np.arange(cfg.azimuth_points) / cfg.azimuth_points
-    grid = _directions(np.stack(np.meshgrid(t, p, indexing="ij"), axis=-1)).reshape(-1, 3)
-    score = _mixed_term(table, grid)
+    score = _mixed_term(table, _GRID)
     a = table[1:, 0] / np.linalg.norm(table[1:, 0]) if table[1:, 0].any() else (0, 0, 1)
     u = np.linalg.svd(table[1:, 1:])[0][:, 0]
-    starts = grid[np.argsort(-score, kind="stable")[: max(cfg.refine_starts, 1)]]
+    starts = _GRID[np.argsort(-score, kind="stable")[: max(cfg.refine_starts, 1)]]
     if cfg.refine_starts:
         # The mixed term's |m^T T[1:,1:]| part peaks at +/-u: polish from there too.
-        starts = _polish(table, np.vstack([starts, u, -u]), cfg)
+        starts = _polish(table, np.vstack([starts, u, -u]))
     alice, bob = _best_product(table, np.vstack([starts, a, u]))
 
     ua, ub = _basis(alice), _basis(bob)
@@ -454,9 +449,9 @@ def advantage(
     rho1: DensityMatrix2Q,
     protocol: FeedForwardProtocol,
     priors: PriorPair = EQUAL_PRIORS,
-    config: OptimizerConfig | None = None,
 ) -> float:
-    """Feed-forward success minus the best no-feed-forward success."""
+    """Feed-forward success minus the best no-feed-forward success
+    (optimize_local_projective at its default setting)."""
     with_ff = ff_success_probability(protocol, rho0, rho1, priors)
-    _, without_ff = optimize_local_projective(rho0, rho1, priors, config)
+    _, without_ff = optimize_local_projective(rho0, rho1, priors)
     return with_ff - without_ff

@@ -13,7 +13,6 @@ import numpy as np
 from qdiscrim import (
     EQUAL_PRIORS,
     MLEConfig,
-    OptimizerConfig,
     advantage,
     estimate,
     ff_success_probability,
@@ -37,12 +36,6 @@ from conftest import noiseless_record, random_density, random_orthogonal_pair, r
 
 GRID_ANGLES = [float(a) for a in np.arange(0.0, 91.0, 15.0)]
 NOISE_V = 0.956
-
-# measurement-search settings for the 49-cell scan; coarse but verified to
-# still land every product cell on the exact optimum
-SCAN_OPT = OptimizerConfig(
-    polar_points=12, azimuth_points=8, refine_starts=3, max_refine_iterations=300
-)
 
 
 def _report(criterion: int, ok: bool, detail: str) -> None:
@@ -146,9 +139,7 @@ def test_criterion_6_feed_forward_advantage():
     for a in GRID_ANGLES:
         for b in GRID_ANGLES:
             s0, s1 = phi0(a), phi1(b)
-            adv = advantage(
-                s0.density(), s1.density(), walgate_decompose(s0, s1), config=SCAN_OPT
-            )
+            adv = advantage(s0.density(), s1.density(), walgate_decompose(s0, s1))
             min_adv = min(min_adv, adv)
             if a in (0.0, 90.0) or b in (0.0, 90.0):
                 # one state is a product state: a fixed local measurement

@@ -13,15 +13,6 @@ from qdiscrim.cli import ConfigError, ExperimentConfig, load_config, main
 from qdiscrim import cli
 from qdiscrim.errors import ConvergenceFailure
 
-# Small grids keep the optimiser cheap; CLI correctness does not depend on
-# how finely the measurement search samples the Bloch sphere.
-LIGHT_OPT = {
-    "polar_points": 6,
-    "azimuth_points": 4,
-    "refine_starts": 2,
-    "max_refine_iterations": 120,
-}
-
 SCHEMA = json.loads(
     (Path(qdiscrim.__file__).parent / "schemas" / "report.schema.json").read_text()
 )
@@ -117,10 +108,12 @@ def test_sampling_experiments_require_master_seed(tmp_path):
         {"experiment": "pair", "master_seed": 1, "n_events": 1000.5},
         {"experiment": "pair", "master_seed": 1, "eta_deg": [10.0]},
         {"experiment": "pair", "master_seed": 1, "state": 3},
-        {"experiment": "pair", "master_seed": 1, "optimizer": [24]},
-        {"experiment": "pair", "master_seed": 1, "optimizer": {"polar_points": "24"}},
-        {"experiment": "pair", "master_seed": 1, "optimizer": {"refine_starts": True}},
+        {"experiment": "tomo", "master_seed": 1, "mle": [200]},
+        {"experiment": "tomo", "master_seed": 1, "mle": {"max_iterations": "200"}},
+        {"experiment": "tomo", "master_seed": 1, "mle": {"max_iterations": True}},
         {"experiment": "tomo", "master_seed": 1, "mle": {"max_iterations": 10.0}},
+        # the optimiser has no CLI setting: its old block is an unknown key
+        {"experiment": "pair", "master_seed": 1, "optimizer": {"refine_starts": 8}},
     ],
 )
 def test_validate_rejects_out_of_range_values(tmp_path, bad):
@@ -136,12 +129,22 @@ def test_load_config_accepts_integers_for_numbers(tmp_path):
     assert load_config(path, overrides={}).theta0_deg == 30
 
 
+def test_readme_cli_example_loads(tmp_path):
+    # The JSON example under "## CLI" in README.md must stay a valid config.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    data = json.loads(example)
+    echo = load_config(write_config(tmp_path, data), overrides={"experiment": "pair"}).to_json()
+    assert {key: echo[key] for key in data} == data
+
+
 def test_config_echo_omits_output_path():
     cfg = ExperimentConfig(experiment="optimize", output_path="somewhere.json")
     echo = cfg.to_json()
     assert "output_path" not in echo
     assert echo["experiment"] == "optimize"
-    assert echo["optimizer"]["polar_points"] == 24
+    assert "optimizer" not in echo
     assert echo["mle"] == {"max_iterations": 200, "gap_tolerance": 1e-2}
 
 
@@ -150,21 +153,19 @@ def test_config_echo_omits_output_path():
 
 def test_exit_code_0_and_schema_for_every_experiment(tmp_path, capsys):
     configs = {
-        "pair": {"master_seed": 11, "n_events": 2000, "optimizer": LIGHT_OPT},
+        "pair": {"master_seed": 11, "n_events": 2000},
         "grid": {
             "master_seed": 5,
             "n_events": 500,
             "grid_step_deg": 45.0,
-            "optimizer": LIGHT_OPT,
         },
         "curve": {
             "master_seed": 8,
             "n_events": 500,
             "eta_step_deg": 15.0,
-            "optimizer": LIGHT_OPT,
         },
         "tomo": {"master_seed": 4, "n_per_setting": 500, "state": "bell", "noise_v": 0.95},
-        "optimize": {"optimizer": LIGHT_OPT},
+        "optimize": {},
     }
     validator = jsonschema.Draft202012Validator(SCHEMA)
     for experiment, config in configs.items():
@@ -218,7 +219,7 @@ def test_exit_code_3_numerical_failure(tmp_path, capsys, monkeypatch):
         raise ConvergenceFailure("deliberate test failure")
 
     monkeypatch.setitem(cli._RUNNERS, "optimize", explode)
-    code, _, err = run_cli(tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT})
+    code, _, err = run_cli(tmp_path, capsys, "optimize", {})
     assert code == 3
     assert "numerical failure" in err
 
@@ -229,7 +230,7 @@ def test_program_errors_are_not_reported_as_config_errors(tmp_path, capsys, monk
 
     monkeypatch.setitem(cli._RUNNERS, "optimize", broken)
     with pytest.raises(ValueError, match="deliberate program bug"):
-        run_cli(tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT})
+        run_cli(tmp_path, capsys, "optimize", {})
 
 
 def test_tomo_warns_on_stderr_when_the_mle_stops_short(tmp_path, capsys):
@@ -254,7 +255,7 @@ def test_tomo_warns_on_stderr_when_the_mle_stops_short(tmp_path, capsys):
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):
-    config = {"master_seed": 11, "n_events": 1000, "optimizer": LIGHT_OPT}
+    config = {"master_seed": 11, "n_events": 1000}
     code, out, _ = run_cli(tmp_path, capsys, "pair", config, extra=("--seed", "19"))
     assert code == 0
     report = json.loads(out)
@@ -285,7 +286,7 @@ def test_seed_flag_satisfies_seed_requirement(tmp_path, capsys):
 
 def test_format_flag_overrides_config(tmp_path, capsys):
     code, out, _ = run_cli(
-        tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT}, extra=("--format", "csv")
+        tmp_path, capsys, "optimize", {}, extra=("--format", "csv")
     )
     assert code == 0
     assert out.startswith("# tool=discrim version=")
@@ -294,7 +295,7 @@ def test_format_flag_overrides_config(tmp_path, capsys):
 def test_out_flag_writes_file_instead_of_stdout(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
-        tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT}, extra=("--out", str(target))
+        tmp_path, capsys, "optimize", {}, extra=("--out", str(target))
     )
     assert code == 0
     assert out == ""
@@ -305,7 +306,7 @@ def test_output_dir_env_var_applies_to_relative_paths(tmp_path, capsys, monkeypa
     monkeypatch.setenv("DISCRIM_OUTPUT_DIR", str(tmp_path / "outputs"))
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(
-        tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT}, extra=("--out", "run.json")
+        tmp_path, capsys, "optimize", {}, extra=("--out", "run.json")
     )
     assert code == 0
     assert (tmp_path / "outputs" / "run.json").is_file()
@@ -315,7 +316,7 @@ def test_output_dir_env_var_ignored_for_absolute_paths(tmp_path, capsys, monkeyp
     monkeypatch.setenv("DISCRIM_OUTPUT_DIR", str(tmp_path / "outputs"))
     target = tmp_path / "explicit.json"
     code, _, _ = run_cli(
-        tmp_path, capsys, "optimize", {"optimizer": LIGHT_OPT}, extra=("--out", str(target))
+        tmp_path, capsys, "optimize", {}, extra=("--out", str(target))
     )
     assert code == 0
     assert target.is_file()
@@ -326,7 +327,7 @@ def test_output_dir_env_var_ignored_for_absolute_paths(tmp_path, capsys, monkeyp
 
 
 def test_rerun_is_byte_identical(tmp_path, capsys):
-    config = {"master_seed": 31, "n_events": 1500, "optimizer": LIGHT_OPT}
+    config = {"master_seed": 31, "n_events": 1500}
     path = write_config(tmp_path, config)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["pair", "--config", path, "--out", str(a)]) == 0
@@ -343,7 +344,6 @@ def test_csv_layout_for_grid(tmp_path, capsys):
         "master_seed": 2,
         "n_events": 400,
         "grid_step_deg": 45.0,
-        "optimizer": LIGHT_OPT,
         "format": "csv",
     }
     code, out, _ = run_cli(tmp_path, capsys, "grid", config)
@@ -360,7 +360,7 @@ def test_csv_layout_for_grid(tmp_path, capsys):
 
 
 def test_csv_floats_round_trip_to_json_values(tmp_path, capsys):
-    config = {"master_seed": 13, "n_events": 800, "optimizer": LIGHT_OPT}
+    config = {"master_seed": 13, "n_events": 800}
     _, json_out, _ = run_cli(tmp_path, capsys, "pair", config)
     _, csv_out, _ = run_cli(tmp_path, capsys, "pair", config, extra=("--format", "csv"))
     row = json.loads(json_out)["results"]["pair"]
@@ -377,7 +377,6 @@ def test_curve_rows_cover_eta_grid(tmp_path, capsys):
         "master_seed": 8,
         "n_events": 500,
         "eta_step_deg": 15.0,
-        "optimizer": LIGHT_OPT,
     }
     code, out, _ = run_cli(tmp_path, capsys, "curve", config)
     assert code == 0

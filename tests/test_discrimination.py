@@ -23,12 +23,11 @@ from qdiscrim import (
     psi_pair,
     walgate_decompose,
 )
+from qdiscrim import discrimination
 from qdiscrim.linalg import KET_H, KET_V, kron, projector
 from qdiscrim.states import DensityMatrix2Q, PureState2Q, apply_local, werner_noise
 
 from conftest import random_density, random_orthogonal_pair, random_unitary2
-
-LIGHT = OptimizerConfig(polar_points=12, azimuth_points=8, refine_starts=3, max_refine_iterations=300)
 
 
 def random_traceless(rng) -> np.ndarray:
@@ -287,14 +286,14 @@ def test_optimizer_finds_known_optimum_for_fixed_pair():
 def test_optimizer_reaches_one_for_distinguishable_product_bases():
     hh = PureState2Q(np.array([1, 0, 0, 0], dtype=complex)).density()
     vv = PureState2Q(np.array([0, 0, 0, 1], dtype=complex)).density()
-    meas, value = optimize_local_projective(hh, vv, config=LIGHT)
+    meas, value = optimize_local_projective(hh, vv)
     assert abs(value - 1.0) < 1e-9
     assert int(meas.guess_map[0, 0]) != int(meas.guess_map[1, 1])
 
 
 def test_optimizer_on_identical_states_gives_half():
     rho = phi0(30.0).density()
-    _, value = optimize_local_projective(rho, rho, config=LIGHT)
+    _, value = optimize_local_projective(rho, rho)
     assert abs(value - 0.5) < 1e-9
 
 
@@ -302,14 +301,14 @@ def test_optimizer_perfect_on_orthogonal_bell_pair():
     # two maximally entangled orthogonal states: D/A on both sides works
     plus = PureState2Q(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)).density()
     minus = PureState2Q(np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2)).density()
-    _, value = optimize_local_projective(plus, minus, config=LIGHT)
+    _, value = optimize_local_projective(plus, minus)
     assert abs(value - 1.0) < 1e-6
 
 
 def test_optimizer_never_beats_helstrom(rng):
     for _ in range(10):
         r0, r1 = random_density(rng), random_density(rng)
-        _, value = optimize_local_projective(r0, r1, config=LIGHT)
+        _, value = optimize_local_projective(r0, r1)
         assert value <= helstrom_bound(r0, r1) + 1e-9
         assert value >= 0.5 - 1e-9
 
@@ -317,8 +316,8 @@ def test_optimizer_never_beats_helstrom(rng):
 def test_optimizer_reproducible_bit_for_bit():
     r0 = werner_noise(phi0(30.0), 0.956)
     r1 = werner_noise(phi1(60.0), 0.956)
-    m1, v1 = optimize_local_projective(r0, r1, config=LIGHT)
-    m2, v2 = optimize_local_projective(r0, r1, config=LIGHT)
+    m1, v1 = optimize_local_projective(r0, r1)
+    m2, v2 = optimize_local_projective(r0, r1)
     assert v1 == v2
     assert np.array_equal(m1.alice_basis, m2.alice_basis)
     assert np.array_equal(m1.bob_bases, m2.bob_bases)
@@ -376,17 +375,14 @@ def dense_no_ff_search(rho0, rho1, priors=EQUAL_PRIORS) -> float:
 )
 def test_optimizer_finds_optimum_near_product_corners(theta0, theta1):
     # Near pairs of product states a grid + simplex search once stopped short
-    # by up to 1.5e-4 (0.977392 at the first corner).  On the coarse LIGHT
-    # grid, zooms from grid points alone stop 1e-6 short at two corners.
+    # by up to 1.5e-4 (0.977392 at the first corner).
     rho0 = werner_noise(phi0(theta0), 0.9551)
     rho1 = werner_noise(phi1(theta1), 0.9551)
-    reference = dense_no_ff_search(rho0, rho1)
-    for config in (None, LIGHT):
-        _, value = optimize_local_projective(rho0, rho1, config=config)
-        assert value >= reference - 1e-12
-        assert value <= helstrom_bound(rho0, rho1) + 1e-12
-        if (theta0, theta1) == (89.78, 1.06):
-            assert value >= 0.97754
+    _, value = optimize_local_projective(rho0, rho1)
+    assert value >= dense_no_ff_search(rho0, rho1) - 1e-12
+    assert value <= helstrom_bound(rho0, rho1) + 1e-12
+    if (theta0, theta1) == (89.78, 1.06):
+        assert value >= 0.97754
 
 
 def test_optimizer_matches_dense_search_on_random_pairs(rng):
@@ -430,17 +426,20 @@ def test_optimizer_on_degenerate_pairs_is_clean(name):
         assert abs(value - expected) < 1e-12
 
 
-def test_optimizer_polish_converges_in_few_steps(rng):
-    # Newton steps converge quadratically: a cap of 30 steps gives the value
-    # of the default cap of 500.
-    capped = OptimizerConfig(max_refine_iterations=30)
+def test_optimizer_polish_converges_in_few_steps(rng, monkeypatch):
+    # Newton steps converge quadratically: the cap of 30 steps gives the
+    # measurement and value of a run capped at 500 steps.
+    pairs = []
     for i in range(100):
         r0, r1 = random_density(rng, 1 + i % 4), random_density(rng, 1 + i % 4)
         p = rng.uniform(0.05, 0.3)
-        priors = PriorPair(p, 1.0 - p) if i % 2 else PriorPair(1.0 - p, p)
-        _, full = optimize_local_projective(r0, r1, priors)
-        _, short = optimize_local_projective(r0, r1, priors, capped)
-        assert abs(full - short) <= 1e-14
+        pairs.append((r0, r1, PriorPair(p, 1.0 - p) if i % 2 else PriorPair(1.0 - p, p)))
+    capped = [optimize_local_projective(*pair) for pair in pairs]
+    monkeypatch.setattr(discrimination, "_MAX_STEPS", 500)
+    for pair, (meas, short) in zip(pairs, capped):
+        full_meas, full = optimize_local_projective(*pair)
+        assert short == full
+        assert np.array_equal(meas.alice_basis, full_meas.alice_basis)
 
 
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -453,13 +452,10 @@ def _bloch(ket: np.ndarray) -> np.ndarray:
 
 def test_optimizer_without_polish_keeps_the_best_grid_point(rng):
     # refine_starts=0 is the grid-only optimiser that the benchmark times alone.
-    cfg = OptimizerConfig()
     grid_only = OptimizerConfig(refine_starts=0)
-    t = np.pi * (np.arange(cfg.polar_points) + 0.5) / cfg.polar_points
-    p = 2.0 * np.pi * np.arange(cfg.azimuth_points) / cfg.azimuth_points
-    tt, pp = np.meshgrid(t, p, indexing="ij")
-    grid = np.stack([np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], -1)
-    grid = grid.reshape(-1, 3)
+    grid = discrimination._GRID
+    assert grid.shape == (288, 3) and not grid.flags.writeable
+    assert np.allclose(np.linalg.norm(grid, axis=1), 1.0)
     gained = 0
     for i in range(30):
         r0, r1 = random_density(rng, 1 + i % 4), random_density(rng, 1 + i % 4)
@@ -482,12 +478,9 @@ def test_optimizer_without_polish_keeps_the_best_grid_point(rng):
     assert gained >= 10
 
 
-def test_optimizer_config_json_roundtrip():
-    cfg = OptimizerConfig(polar_points=10, azimuth_points=6)
-    again = OptimizerConfig.from_json(cfg.to_json())
-    assert again == cfg
+def test_optimizer_config_rejects_negative_starts():
     with pytest.raises(ValueError):
-        OptimizerConfig.from_json({"polar_points": 10, "bogus": 1})
+        OptimizerConfig(refine_starts=-1)
 
 
 # ---------------------------------------------------------------- advantage
@@ -503,5 +496,5 @@ def test_advantage_known_value_for_fixed_pair():
 def test_advantage_zero_for_product_pairs():
     a, b = phi0(0.0), phi1(90.0)
     protocol = walgate_decompose(a, b)
-    adv = advantage(a.density(), b.density(), protocol, config=LIGHT)
+    adv = advantage(a.density(), b.density(), protocol)
     assert abs(adv) < 1e-6
