@@ -1,28 +1,31 @@
 """Command-line experiment runner.
 
-Subcommands mirror the simulated experiments:
+Usage: discrim <experiment> --config cfg.json [--out PATH] [--format json|csv]
+[--seed N], where the experiment is one of
 
-    discrim pair     --config cfg.json   one state pair, full comparison
-    discrim grid     --config cfg.json   orthogonal pairs on an angle grid
-    discrim curve    --config cfg.json   non-orthogonal pairs vs eta
-    discrim tomo     --config cfg.json   simulate + reconstruct one state
-    discrim optimize --config cfg.json   best no-feed-forward measurement
+    pair       one state pair, full comparison
+    grid       orthogonal pairs on an angle grid
+    curve      non-orthogonal pairs vs eta
+    tomo       simulate + reconstruct one state
+    optimize   best no-feed-forward measurement
 
-Configs are strict JSON (unknown keys are rejected); --out, --format and
---seed override the config file.  Reports embed the resolved config and
-master seed, and contain nothing time- or host-dependent, so re-running a
-command reproduces the output byte for byte.  Exit codes: 0 success, 2
-configuration error, 3 numerical failure.
+Configs are strict JSON: unknown keys, values of the wrong JSON type and the
+non-standard NaN and Infinity (or numbers beyond the float range) are
+rejected.  --out, --format and --seed override the config file.  Reports
+embed the resolved config and master seed, and contain nothing time- or
+host-dependent, so re-running a command reproduces the output byte for
+byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from decimal import Decimal
 
 import numpy as np
@@ -130,60 +133,59 @@ class ExperimentConfig:
         path is omitted so reruns of one config stay byte-identical no
         matter where they are written.
         """
-        out = {}
-        for f in fields(self):
-            if f.name == "output_path":
-                continue
-            val = getattr(self, f.name)
-            if f.name == "mle":
-                val = val.to_json()
-            out[f.name] = val
-        return out
+        echo = asdict(self)
+        del echo["output_path"]
+        return echo
 
 
-def _check_types(cls, data: dict, prefix: str = "") -> None:
-    """Reject values of the wrong JSON type, nested ones too; a boolean is no number."""
-    for name, hint in typing.get_type_hints(cls).items():
-        if name not in data:
-            continue
-        value = data[name]
+def _build(cls, data: dict, prefix: str = ""):
+    """cls from a JSON object, nested dataclasses too: unknown keys, values of
+    the wrong JSON type (a boolean is no number) and values the dataclass
+    refuses raise ConfigError, nested keys named as ``mle.<key>``."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
+    if unknown:
+        raise ConfigError(
+            f"unknown config keys {sorted(prefix + k for k in unknown)}; "
+            f"allowed keys are {sorted(prefix + k for k in hints)}"
+        )
+    values = {}
+    for name, value in data.items():
+        hint = hints[name]
         allowed = (dict,) if is_dataclass(hint) else typing.get_args(hint) or (hint,)
         number = float in allowed and isinstance(value, int)
         if isinstance(value, bool) or not (number or isinstance(value, allowed)):
             wanted = getattr(hint, "__name__", hint)
             raise ConfigError(f"{prefix}{name} must be {wanted}, got {json.dumps(value)}")
-        if is_dataclass(hint):
-            _check_types(hint, value, prefix=f"{prefix}{name}.")
+        values[name] = _build(hint, value, f"{prefix}{name}.") if is_dataclass(hint) else value
+    try:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _finite(text: str) -> float:
+    """A JSON number as a float; NaN, Infinity and overflowing numbers are refused."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def load_config(path: str, overrides: dict) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(
-            f"unknown config keys {sorted(unknown)}; allowed keys are {sorted(known)}"
-        )
-    raw = dict(raw)
     raw.update({k: v for k, v in overrides.items() if v is not None})
     if "experiment" not in raw:
         raise ConfigError("config must name the experiment to run")
-    _check_types(ExperimentConfig, raw)
-    try:
-        if "mle" in raw:
-            raw["mle"] = MLEConfig.from_json(raw["mle"])
-        cfg = ExperimentConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    cfg = _build(ExperimentConfig, raw)
     cfg.validate()
     return cfg
 
@@ -206,30 +208,37 @@ def _decimal_range(lo: float, hi: float, step: float) -> list[float]:
     return [float(min(lo_d + i * step_d, hi_d)) for i in range(count + 1)]
 
 
+def _sample(protocol, rho0, rho1, cfg: ExperimentConfig, row_index: int) -> dict:
+    """Coincidence counts of both preparations under the protocol, their
+    success estimate and the row's two sampling seeds."""
+    povm = protocol_to_povm(protocol)
+    seed0, seed1 = _row_seeds(cfg.master_seed, row_index)
+    counts0 = sample_coincidences(rho0, povm, cfg.n_events, seed0)
+    counts1 = sample_coincidences(rho1, povm, cfg.n_events, seed1)
+    return {
+        "counts0": counts0.to_json(),
+        "counts1": counts1.to_json(),
+        "estimate": estimate(counts0, counts1).to_json(),
+        "seeds": {"state0": seed0, "state1": seed1},
+    }
+
+
 def _pair_row(theta0: float, theta1: float, cfg: ExperimentConfig, row_index: int) -> dict:
     ideal0, ideal1 = phi0(theta0), phi1(theta1)
     rho0 = werner_noise(ideal0, cfg.noise_v)
     rho1 = werner_noise(ideal1, cfg.noise_v)
     protocol = walgate_decompose(ideal0, ideal1)
-    povm = protocol_to_povm(protocol)
     ff_exact = ff_success_probability(protocol, rho0, rho1, EQUAL_PRIORS)
-    seed0, seed1 = _row_seeds(cfg.master_seed, row_index)
-    counts0 = sample_coincidences(rho0, povm, cfg.n_events, seed0)
-    counts1 = sample_coincidences(rho1, povm, cfg.n_events, seed1)
-    est = estimate(counts0, counts1)
     _, no_ff = optimize_local_projective(rho0, rho1, EQUAL_PRIORS)
     return {
         "row_index": row_index,
         "theta0_deg": theta0,
         "theta1_deg": theta1,
         "ff_exact": ff_exact,
-        "counts0": counts0.to_json(),
-        "counts1": counts1.to_json(),
-        "estimate": est.to_json(),
         "helstrom": helstrom_bound(rho0, rho1, EQUAL_PRIORS),
         "no_ff_best": no_ff,
         "advantage": ff_exact - no_ff,
-        "seeds": {"state0": seed0, "state1": seed1},
+        **_sample(protocol, rho0, rho1, cfg, row_index),
     }
 
 
@@ -251,11 +260,7 @@ def _curve_row(eta: float, cfg: ExperimentConfig, row_index: int) -> dict:
     rho0 = werner_noise(ideal0, cfg.noise_v)
     rho1 = werner_noise(ideal1, cfg.noise_v)
     protocol = canonical_protocol()
-    povm = protocol_to_povm(protocol)
-    seed0, seed1 = _row_seeds(cfg.master_seed, row_index)
-    counts0 = sample_coincidences(rho0, povm, cfg.n_events, seed0)
-    counts1 = sample_coincidences(rho1, povm, cfg.n_events, seed1)
-    est = estimate(counts0, counts1)
+    sampled = _sample(protocol, rho0, rho1, cfg, row_index)
     _, no_ff_ideal = optimize_local_projective(rho0_ideal, rho1_ideal, EQUAL_PRIORS)
     _, no_ff_noisy = optimize_local_projective(rho0, rho1, EQUAL_PRIORS)
     return {
@@ -267,8 +272,8 @@ def _curve_row(eta: float, cfg: ExperimentConfig, row_index: int) -> dict:
         "ff_noisy": ff_success_probability(protocol, rho0, rho1, EQUAL_PRIORS),
         "no_ff_ideal": no_ff_ideal,
         "no_ff_noisy": no_ff_noisy,
-        "estimate": est.to_json(),
-        "seeds": {"state0": seed0, "state1": seed1},
+        "estimate": sampled["estimate"],
+        "seeds": sampled["seeds"],
     }
 
 
@@ -313,11 +318,7 @@ def run_tomo(cfg: ExperimentConfig) -> dict:
         "tomo": {
             "state": cfg.state,
             "record": record.to_json(),
-            "rho": result.rho.to_json(),
-            "log_likelihood": result.log_likelihood,
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "gap": result.gap,
+            **result.to_json(),
             "fidelity_vs_ideal": fidelity_pure(result.rho, target),
             "overlap_vs_true": _mixed_overlap(result.rho, rho_true),
             "tangle": tangle(result.rho),
@@ -429,13 +430,11 @@ def main(argv=None) -> int:
         prog="discrim",
         description="Simulated discrimination experiments for entangled two-qubit states.",
     )
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--format", default=None, choices=("csv", "json"))
-        p.add_argument("--seed", default=None, type=int, help="master seed override")
+    parser.add_argument("experiment", choices=EXPERIMENTS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="path to a JSON config file")
+    parser.add_argument("--out", default=None, help="output file (default: stdout)")
+    parser.add_argument("--format", default=None, choices=("csv", "json"))
+    parser.add_argument("--seed", default=None, type=int, help="master seed override")
     args = parser.parse_args(argv)
 
     try:

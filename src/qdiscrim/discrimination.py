@@ -26,7 +26,7 @@ from .errors import (
     NotOrthogonalError,
     NotTracelessError,
 )
-from .linalg import ID2, KET_H, KET_V, PAULI_Z, dagger, kron, perp2, projector
+from .linalg import ID2, KET_H, KET_V, PAULIS, PAULI_Z, dagger, kron, perp2, projector, read_only
 from .states import DensityMatrix2Q, PureState2Q, u_perp_state, u_state
 
 ORTHOGONALITY_ATOL = 1e-9
@@ -92,9 +92,9 @@ class FeedForwardProtocol:
         guess = np.asarray(self.guess_map)
         if guess.shape != (2, 2) or not np.isin(guess, (0, 1)).all():
             raise InvalidProtocolError("guess_map must be a 2x2 array of labels 0/1")
-        object.__setattr__(self, "alice_basis", _read_only(alice))
-        object.__setattr__(self, "bob_bases", _read_only(bobs))
-        object.__setattr__(self, "guess_map", _read_only(guess.astype(int)))
+        object.__setattr__(self, "alice_basis", read_only(alice))
+        object.__setattr__(self, "bob_bases", read_only(bobs))
+        object.__setattr__(self, "guess_map", read_only(guess, int))
 
     def projector(self, i: int, j: int) -> np.ndarray:
         """Global projector for Alice outcome i and Bob outcome j."""
@@ -116,12 +116,6 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.refine_starts < 0:
             raise ValueError("refine_starts must be nonnegative")
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr)
-    out.flags.writeable = False
-    return out
 
 
 def hollow_vector(m: np.ndarray) -> np.ndarray:
@@ -281,8 +275,6 @@ def helstrom_bound(
     return 0.5 * (1.0 + linalg.trace_norm(delta))
 
 
-# Pauli basis I, X, Y, Z.
-_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # A Newton system whose determinant is below this share of its scale squared
 # counts as singular.
 _SINGULAR = 1e-10
@@ -309,7 +301,7 @@ def _sphere_grid(polar: int, azimuth: int) -> np.ndarray:
     t = np.pi * (np.arange(polar) + 0.5) / polar
     p = 2.0 * np.pi * np.arange(azimuth) / azimuth
     grid = _directions(np.stack(np.meshgrid(t, p, indexing="ij"), axis=-1))
-    return _read_only(grid.reshape(-1, 3))
+    return read_only(grid.reshape(-1, 3))
 
 
 # Alice directions scored before the polish.
@@ -423,7 +415,7 @@ def optimize_local_projective(
     _check_priors(priors)
     cfg = config or OptimizerConfig()
     d = (priors.p0 * rho0.mat - priors.p1 * rho1.mat).reshape(2, 2, 2, 2)
-    table = np.einsum("mca,neb,abce->mn", _PAULIS, _PAULIS, d).real
+    table = np.einsum("mca,neb,abce->mn", PAULIS, PAULIS, d).real
 
     score = _mixed_term(table, _GRID)
     a = table[1:, 0] / np.linalg.norm(table[1:, 0]) if table[1:, 0].any() else (0, 0, 1)

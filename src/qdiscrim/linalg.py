@@ -28,15 +28,26 @@ KET_A = np.array([SQRT1_2, -SQRT1_2], dtype=complex)
 KET_R = np.array([SQRT1_2, 1j * SQRT1_2], dtype=complex)
 KET_L = np.array([SQRT1_2, -1j * SQRT1_2], dtype=complex)
 
-PAULI_Y = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
-# Phase flip: H -> H, V -> -V.
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
 NORM_ATOL = 1e-12
 UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
+
+
+def read_only(arr, dtype=None) -> np.ndarray:
+    """A read-only copy of ``arr`` (of the given dtype, if any)."""
+    out = np.array(arr, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+# The Pauli matrices I, X, Y, Z, stacked (4, 2, 2) and read-only; Z is the
+# phase flip H -> H, V -> -V.
+PAULIS = read_only([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+PAULI_Y = PAULIS[2]
+PAULI_Z = PAULIS[3]
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

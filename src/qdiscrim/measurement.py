@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import linalg
 from .discrimination import FeedForwardProtocol
 from .errors import EmptyCountsError, IncompletePOVMError, InvalidProtocolError
-from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, kron, projector
+from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, kron, projector, read_only
 from .states import DensityMatrix2Q
 
 COINCIDENCE_LABELS = ("TaTb", "TaRb", "RaTb", "RaRb")
@@ -41,10 +41,9 @@ _ZERO_PROB = 1e-15
 
 
 TOMO_LABELS = tuple((a, b) for a in TOMO_BASIS_LABELS for b in TOMO_BASIS_LABELS)
-_TOMO_PROJECTORS = np.stack(
+_TOMO_PROJECTORS = read_only(
     [kron(projector(_TOMO_KETS[a]), projector(_TOMO_KETS[b])) for a, b in TOMO_LABELS]
 )
-_TOMO_PROJECTORS.flags.writeable = False
 # The tomography design matrix, built once and read-only: the (36, 16) complex
 # projector stack viewed as float64, so that TOMO_DESIGN @ M.reshape(16).view(float)
 # is Re Tr(Pi_s M) for every setting s (each Pi_s is Hermitian), and c @ TOMO_DESIGN,
@@ -116,14 +115,7 @@ class DiscriminationEstimate:
     sigma_avg: float
 
     def to_json(self) -> dict:
-        return {
-            "p0": self.p0,
-            "p1": self.p1,
-            "p_avg": self.p_avg,
-            "sigma_p0": self.sigma_p0,
-            "sigma_p1": self.sigma_p1,
-            "sigma_avg": self.sigma_avg,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -148,12 +140,8 @@ class TomographyRecord:
         if exposure.shape != (36,) or (exposure <= 0).any() or not np.isfinite(exposure).all():
             raise ValueError("exposure must be 36 positive reals")
         object.__setattr__(self, "labels", labels)
-        counts = counts.astype(int)
-        counts.flags.writeable = False
-        exposure = exposure.copy()
-        exposure.flags.writeable = False
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "exposure", exposure)
+        object.__setattr__(self, "counts", read_only(counts, int))
+        object.__setattr__(self, "exposure", read_only(exposure))
 
     @classmethod
     def from_counts(cls, counts, exposure=None) -> "TomographyRecord":

@@ -28,18 +28,12 @@ import numpy as np
 
 from . import linalg, serialize
 from .errors import InvalidDensityError
-from .linalg import PAULI_Y, PAULI_Z, dagger, kron, require_unitary
+from .linalg import PAULI_Y, PAULI_Z, dagger, kron, read_only, require_unitary
 
 DENSITY_ATOL = 1e-10
 # Eigenvalues above this floor are treated as rounding noise and clipped
 # when ingesting external matrices.
 NEGATIVE_EIG_TOL = 1e-9
-
-
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class PureState2Q:
         n = np.linalg.norm(v)
         if abs(n - 1.0) > linalg.NORM_ATOL:
             raise ValueError(f"state norm deviates from 1 by {abs(n - 1.0):.3e}")
-        object.__setattr__(self, "vec", _as_readonly(v))
+        object.__setattr__(self, "vec", read_only(v))
 
     def density(self) -> "DensityMatrix2Q":
         return DensityMatrix2Q(linalg.projector(self.vec))
@@ -96,7 +90,7 @@ class DensityMatrix2Q:
         min_eig = float(np.linalg.eigvalsh(m).min())
         if min_eig < -NEGATIVE_EIG_TOL:
             raise InvalidDensityError(f"negative eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "mat", _as_readonly(m))
+        object.__setattr__(self, "mat", read_only(m))
 
     @classmethod
     def from_external(cls, mat: np.ndarray) -> "DensityMatrix2Q":

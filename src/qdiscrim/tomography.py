@@ -36,11 +36,11 @@ gap, and reports the gap either way.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import ID2, PAULI_Y, PAULI_Z, kron
+from .linalg import PAULIS, kron, read_only
 from .measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
 from .states import DensityMatrix2Q
 
@@ -50,10 +50,8 @@ _PROB_FLOOR = 1e-15
 _ARMIJO = 0.25
 _MIN_STEP = 1e-12
 
-_SIGMAS = (ID2, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), PAULI_Y, PAULI_Z)
 # B_0 = I/2 followed by the 15 traceless B_k; Tr(B_k B_l) = delta_kl.
-_PAULI_BASIS = np.stack([kron(a, b) / 2.0 for a in _SIGMAS for b in _SIGMAS])
-_PAULI_BASIS.flags.writeable = False
+_PAULI_BASIS = read_only([kron(a, b) / 2.0 for a in PAULIS for b in PAULIS])
 _TRACELESS = _PAULI_BASIS[1:]
 _TRACELESS_FLAT = _TRACELESS.reshape(15, 16)
 _MIXED = np.eye(4, dtype=complex) / 4.0
@@ -76,16 +74,6 @@ class MLEConfig:
             raise ValueError("max_iterations must be positive")
         if not 0.0 < self.gap_tolerance < np.inf:
             raise ValueError("gap_tolerance must be positive and finite")
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MLEConfig":
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown mle keys: {sorted(unknown)}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
     path = write_config(
         tmp_path, {"experiment": "tomo", "master_seed": 1, "mle": {"likelihood_model": "poisson"}}
     )
-    with pytest.raises(ConfigError, match="likelihood_model"):
+    with pytest.raises(ConfigError, match=r"unknown config keys \['mle\.likelihood_model'\]"):
         load_config(path, overrides={})
     assert main(["tomo", "--config", path]) == 2
     # the certified solver has no likelihood-change tolerance and no dilution
@@ -54,7 +54,7 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         path = write_config(
             tmp_path, {"experiment": "tomo", "master_seed": 1, "mle": {key: value}}
         )
-        with pytest.raises(ConfigError, match=key):
+        with pytest.raises(ConfigError, match=f"mle.{key}"):
             load_config(path, overrides={})
         assert main(["tomo", "--config", path]) == 2
 
@@ -73,6 +73,10 @@ def test_load_config_missing_file(tmp_path):
 def test_load_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(path), overrides={})
+    # bytes that are not UTF-8 are no JSON text either
+    path.write_bytes(b'{"master_seed": "\xff"}')
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(path), overrides={})
 
@@ -114,6 +118,9 @@ def test_sampling_experiments_require_master_seed(tmp_path):
         {"experiment": "tomo", "master_seed": 1, "mle": {"max_iterations": 10.0}},
         # the optimiser has no CLI setting: its old block is an unknown key
         {"experiment": "pair", "master_seed": 1, "optimizer": {"refine_starts": 8}},
+        # json.dumps writes these as NaN and Infinity, which are no JSON numbers
+        {"experiment": "curve", "master_seed": 1, "eta_step_deg": float("nan")},
+        {"experiment": "curve", "master_seed": 1, "eta_step_deg": float("inf")},
     ],
 )
 def test_validate_rejects_out_of_range_values(tmp_path, bad):
@@ -212,6 +219,36 @@ def test_exit_code_2_missing_file(tmp_path, capsys):
     code = main(["pair", "--config", str(tmp_path / "absent.json")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+def test_exit_code_2_non_finite_number(tmp_path, capsys, number):
+    # Python's json module reads NaN and Infinity, and 1e400 overflows to inf;
+    # none is a JSON number a config can hold.
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"master_seed": 1, "eta_step_deg": {number}}}')
+    assert main(["curve", "--config", str(path)]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_help_names_every_experiment():
+    src = str(Path(qdiscrim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-m", "qdiscrim.cli", "--help"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    for experiment in cli.EXPERIMENTS:
+        assert experiment in done.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["warp", "--config", "CONFIG"], ["pair"]], ids=["empty", "unknown", "no-config"]
+)
+def test_usage_errors_exit_2(tmp_path, capsys, argv):
+    path = write_config(tmp_path, {"master_seed": 1})
+    with pytest.raises(SystemExit) as exc:
+        main([path if arg == "CONFIG" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert "usage: discrim" in capsys.readouterr().err
 
 
 def test_exit_code_3_numerical_failure(tmp_path, capsys, monkeypatch):
@@ -324,6 +361,31 @@ def test_output_dir_env_var_ignored_for_absolute_paths(tmp_path, capsys, monkeyp
 
 
 # ---------------------------------------------------------------- reproducibility
+
+
+@pytest.mark.parametrize(
+    "experiment, config",
+    [
+        ("pair", {"master_seed": 3, "n_events": 300, "noise_v": 0.9}),
+        ("grid", {"master_seed": 5, "n_events": 300, "grid_step_deg": 45.0, "format": "csv"}),
+        ("curve", {"master_seed": 8, "n_events": 300, "eta_step_deg": 15.0}),
+        ("tomo", {"master_seed": 4, "n_per_setting": 300, "mle": {"gap_tolerance": 0.05}}),
+        ("optimize", {"eta_deg": 20.0}),
+    ],
+)
+def test_config_echo_reruns_to_the_same_report(tmp_path, capsys, experiment, config):
+    # The echo is a complete config: fed back in, it reproduces the report.
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([experiment, "--config", write_config(tmp_path, config), "--out", str(first)]) == 0
+    report = first.read_text()
+    if config.get("format") == "csv":
+        echo = json.loads(report.splitlines()[1].removeprefix("# config="))
+    else:
+        echo = json.loads(report)["config"]
+    path = write_config(tmp_path, echo, name="echo.json")
+    assert main([experiment, "--config", path, "--out", str(second)]) == 0
+    capsys.readouterr()
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path, capsys):
