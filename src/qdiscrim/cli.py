@@ -67,6 +67,9 @@ _SAMPLING_EXPERIMENTS = {"pair", "grid", "curve", "tomo"}
 # Largest n_events and n_per_setting: numpy's multinomial takes counts up to
 # 2**63 - 1 and its Poisson draw means up to about 9.2e18.
 MAX_COUNT = 2**62
+# Most rows a grid or curve may have; the count is checked before any row list
+# is built.
+MAX_ROWS = 10**4
 
 
 class ConfigError(ValueError):
@@ -111,6 +114,14 @@ class ExperimentConfig:
             raise ConfigError("eta_step_deg must be positive")
         if self.grid_step_deg <= 0.0 or (90.0 / self.grid_step_deg) % 1.0 != 0.0:
             raise ConfigError("grid_step_deg must divide 90")
+        if self.experiment == "grid":
+            rows = (_decimal_steps(0.0, 90.0, self.grid_step_deg)[-1] + 1) ** 2
+        elif self.experiment == "curve":
+            rows = _decimal_steps(self.eta_min_deg, self.eta_max_deg, self.eta_step_deg)[-1] + 1
+        else:
+            rows = 1
+        if rows > MAX_ROWS:
+            raise ConfigError(f"{self.experiment} would have more than {MAX_ROWS} rows")
         if not 0.0 <= self.noise_v <= 1.0:
             raise ConfigError("noise_v must lie in [0, 1]")
         for key in ("n_events", "n_per_setting"):
@@ -197,14 +208,20 @@ def _row_seeds(master_seed: int, row_index: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
+def _decimal_steps(lo: float, hi: float, step: float):
+    """lo, hi and step as decimals, and the number of whole steps from lo to
+    hi; a point within 1e-9 steps past hi counts."""
+    lo_d, hi_d, step_d = (Decimal(repr(float(x))) for x in (lo, hi, step))
+    return lo_d, hi_d, step_d, int((hi_d - lo_d) / step_d + Decimal("1e-9"))
+
+
 def _decimal_range(lo: float, hi: float, step: float) -> list[float]:
     """lo, lo + step, ... up to hi, added in decimal so that steps such as 0.1
     and 0.9 land on 0.3 and 11.7, not on their binary neighbours.
 
     A point within 1e-9 steps past hi counts and is set to hi.
     """
-    lo_d, hi_d, step_d = (Decimal(repr(float(x))) for x in (lo, hi, step))
-    count = int((hi_d - lo_d) / step_d + Decimal("1e-9"))
+    lo_d, hi_d, step_d, count = _decimal_steps(lo, hi, step)
     return [float(min(lo_d + i * step_d, hi_d)) for i in range(count + 1)]
 
 

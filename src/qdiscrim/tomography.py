@@ -19,10 +19,12 @@ and L(rho) equals, up to a constant,
 over density matrices tau.  The solver is damped Newton on the barrier
 objective f(tau) + mu ln det tau in the 15 real coordinates
 tau = I/4 + sum_k x_k B_k, B_k = sigma_i (x) sigma_j / 2 for (i, j) != (0, 0):
-Armijo backtracking picks each step, a Cholesky factorisation is both the
-positive-definiteness test and ln det, and mu starts at N/4 and drops
-tenfold whenever the Newton decrement falls below 1, down to
-gap_tolerance / 20.  Every iterate is strictly positive definite.
+Armijo backtracking picks each step, and a Cholesky factorisation is both
+the positive-definiteness test and ln det.  The barrier weight follows the
+certified gap below: mu is gap / 20 before the first step and is then kept
+within [gap / 200, gap / 20] (a primal-dual rule, Boyd and Vandenberghe,
+Convex Optimization, sec. 11.7).  Every iterate is strictly positive
+definite.
 
 Concavity of f bounds the distance to the maximum (Glancy, Knill, Girard,
 NJP 14, 095017 (2012)):
@@ -30,8 +32,10 @@ NJP 14, 095017 (2012)):
     max f - f(tau) <= gap = lambda_max(sum_s (n_s / p~_s) Pi~_s) - N,
 
 one 4x4 eigenvalue problem per iterate.  The solver stops as soon as the
-gap is within gap_tolerance; otherwise it returns the iterate of smallest
-gap, and reports the gap either way.
+gap is within gap_tolerance.  It also stops when the gap has not fallen for
+20 steps (below the rounding floor), when the Newton system is singular or
+when the line search finds no increase; it then returns the iterate of
+smallest gap.  The gap is reported either way.
 """
 
 from __future__ import annotations
@@ -49,11 +53,13 @@ _PROB_FLOOR = 1e-15
 # line search gives up (the increase is then below rounding).
 _ARMIJO = 0.25
 _MIN_STEP = 1e-12
+# Steps without a new best gap after which the solver stops: below the
+# rounding floor the gap no longer falls.
+_STALL_STEPS = 20
 
 # B_0 = I/2 followed by the 15 traceless B_k; Tr(B_k B_l) = delta_kl.
 _PAULI_BASIS = read_only([kron(a, b) / 2.0 for a in PAULIS for b in PAULIS])
-_TRACELESS = _PAULI_BASIS[1:]
-_TRACELESS_FLAT = _TRACELESS.reshape(15, 16)
+_TRACELESS_FLAT = _PAULI_BASIS[1:].reshape(15, 16)
 _MIXED = np.eye(4, dtype=complex) / 4.0
 _MIXED_FLAT = _MIXED.reshape(16)
 
@@ -98,21 +104,6 @@ class MLEResult:
             "converged": self.converged,
             "gap": self.gap,
         }
-
-    def to_csv(self) -> str:
-        """Real and imaginary 4x4 blocks plus diagnostic comment lines."""
-        lines = [
-            f"# log_likelihood={self.log_likelihood!r}",
-            f"# iterations={self.iterations}",
-            f"# converged={self.converged}",
-            f"# gap={self.gap!r}",
-            "# real part",
-        ]
-        m = self.rho.mat
-        lines += [",".join(repr(float(x)) for x in row) for row in m.real]
-        lines.append("# imaginary part")
-        lines += [",".join(repr(float(x)) for x in row) for row in m.imag]
-        return "\n".join(lines) + "\n"
 
 
 _DESIGN_ROW = {label: s for s, label in enumerate(TOMO_LABELS)}
@@ -185,8 +176,9 @@ def mle_reconstruct(
     """Maximum-likelihood density matrix for a tomography record.
 
     Starts from the maximally mixed state and takes barrier Newton steps
-    until the certified gap is at most gap_tolerance or max_iterations
-    steps are spent; running out of steps returns converged=False with the
+    until the certified gap is at most gap_tolerance.  Running out of
+    max_iterations steps, a gap that has not fallen for 20 steps, a singular
+    Newton system or a failed line search returns converged=False with the
     iterate of smallest gap seen, and that gap.  ``callback``, when given,
     is invoked as callback(iteration, rho_array, log_likelihood) after
     every step.
@@ -208,24 +200,38 @@ def mle_reconstruct(
     tau = _MIXED
     ln_det = _ln_det(tau)
     probs = p0
-    mu = total / 4.0
-    mu_floor = cfg.gap_tolerance / 20.0
-    iterations = 0
+    mu = np.inf
+    iterations = stalled = 0
     best_gap, best_tau = np.inf, tau
     while True:
         weights = counts / probs
         grad = weights @ a
         gap = _gap(grad, x)
         if gap < best_gap:
-            best_gap, best_tau = gap, tau
-        if gap <= cfg.gap_tolerance or iterations == cfg.max_iterations:
+            best_gap, best_tau, stalled = gap, tau, 0
+        else:
+            stalled += 1
+        if (
+            gap <= cfg.gap_tolerance
+            or iterations == cfg.max_iterations
+            or stalled == _STALL_STEPS
+        ):
             break
-        inv = np.linalg.inv(tau)
-        barrier_grad = (_TRACELESS_FLAT.conj() @ inv.reshape(16)).real
-        curvature = (inv @ _TRACELESS @ inv).reshape(15, 16) @ _TRACELESS_FLAT.conj().T
-        hessian = (a.T * (weights / probs)) @ a + mu * curvature.real
-        full_grad = grad + mu * barrier_grad
-        step = np.linalg.solve(hessian, full_grad)
+        # The barrier weight follows the certified gap; the lower edge keeps
+        # iterates off the boundary of the positive cone.
+        mu = min(max(mu, gap / 200.0), gap / 20.0)
+        try:
+            inv = np.linalg.inv(tau)
+            barrier_grad = (_TRACELESS_FLAT.conj() @ inv.reshape(16)).real
+            # Tr(inv B_k inv B_l) through the Kronecker product inv^T (x) inv.
+            kron_inv = (inv.T[:, None, :, None] * inv[:, None, :]).reshape(16, 16)
+            curvature = (_TRACELESS_FLAT @ kron_inv @ _TRACELESS_FLAT.conj().T).real
+            hessian = (a.T * (weights / probs)) @ a + mu * curvature
+            full_grad = grad + mu * barrier_grad
+            step = np.linalg.solve(hessian, full_grad)
+        except np.linalg.LinAlgError:
+            # A singular system has no Newton step, like a failed line search.
+            break
         decrement_sq = float(full_grad @ step)
 
         ratio = (a @ step) / probs
@@ -246,8 +252,6 @@ def mle_reconstruct(
         tau, ln_det = trial_tau, trial_ln_det
         probs = p0 + a @ x
         iterations += 1
-        if decrement_sq < 1.0:
-            mu = max(mu / 10.0, mu_floor)
         if callback is not None:
             rho = to_rho(tau)
             ll = _ll_of_probs(setting_probabilities(rho, design), counts, exposure)

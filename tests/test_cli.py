@@ -215,6 +215,32 @@ def test_exit_code_2_count_beyond_the_samplers(tmp_path, capsys, experiment, key
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "experiment, config",
+    [("curve", {"eta_step_deg": 1e-300}), ("grid", {"grid_step_deg": 1e-9}),
+     ("curve", {"eta_max_deg": 10.0, "eta_step_deg": 0.001}), ("grid", {"grid_step_deg": 0.9})],
+    ids=["curve-4.5e301", "grid-8.1e21", "curve-10001", "grid-10201"],
+)
+def test_exit_code_2_too_many_rows(tmp_path, capsys, monkeypatch, experiment, config):
+    # The row count is checked in decimal before any row list is built, so
+    # no runner is ever reached.
+    def unreachable(cfg):
+        raise AssertionError("a runner was reached")
+
+    monkeypatch.setitem(cli._RUNNERS, experiment, unreachable)
+    code, out, err = run_cli(tmp_path, capsys, experiment, {"master_seed": 1, **config})
+    assert code == 2 and out == ""
+    assert f"more than {cli.MAX_ROWS} rows" in err
+
+
+def test_row_cap_admits_ten_thousand_rows(tmp_path):
+    for experiment, config in (("curve", {"eta_max_deg": 9.999, "eta_step_deg": 0.001}),
+                               ("grid", {"grid_step_deg": 1.0})):
+        path = write_config(tmp_path, {"experiment": experiment, "master_seed": 1, **config})
+        load_config(path, overrides={})
+    assert len(cli._decimal_range(0.0, 9.999, 0.001)) == cli.MAX_ROWS
+
+
 def test_exit_code_2_missing_file(tmp_path, capsys):
     code = main(["pair", "--config", str(tmp_path / "absent.json")])
     assert code == 2
@@ -286,6 +312,17 @@ def test_tomo_warns_on_stderr_when_the_mle_stops_short(tmp_path, capsys):
     # stdout holds the report alone, byte for byte
     cfg = load_config(write_config(tmp_path, dict(capped, experiment="tomo")), overrides={})
     assert out == cli.report_to_json(cli.build_report(cfg))
+
+
+def test_tomo_at_a_tight_gap_tolerance_exits_0(tmp_path, capsys):
+    # Before the barrier weight followed the gap, this record ended in a
+    # singular Newton system and a LinAlgError traceback.
+    out_path = tmp_path / "report.json"
+    config = {"master_seed": 51, "n_per_setting": 10000, "mle": {"gap_tolerance": 1e-9}}
+    code, _, err = run_cli(tmp_path, capsys, "tomo", config, extra=("--out", str(out_path)))
+    assert code == 0 and err == ""
+    tomo = json.loads(out_path.read_text())["results"]["tomo"]
+    assert tomo["converged"] is True and tomo["gap"] <= 1e-9
 
 
 # ---------------------------------------------------------------- overrides
