@@ -17,13 +17,11 @@ from .errors import (
     NotHermitianError,
     NotOrthogonalError,
     NotTracelessError,
-    NotUnitaryError,
 )
 from .linalg import HermitianEig, hermitian_eig, kron, trace_norm
 from .states import (
     DensityMatrix2Q,
     PureState2Q,
-    apply_local,
     fidelity_pure,
     phi0,
     phi1,
@@ -85,13 +83,11 @@ __all__ = [
     "NotHermitianError",
     "NotOrthogonalError",
     "NotTracelessError",
-    "NotUnitaryError",
     "OptimizerConfig",
     "PriorPair",
     "PureState2Q",
     "TomographyRecord",
     "advantage",
-    "apply_local",
     "canonical_protocol",
     "estimate",
     "ff_success_probability",

@@ -46,10 +46,10 @@ from .measurement import (
     sample_coincidences,
     simulate_tomography,
 )
-from .serialize import complex_to_pairs
 from .states import (
     DensityMatrix2Q,
     PureState2Q,
+    complex_to_pairs,
     fidelity_pure,
     phi0,
     phi1,

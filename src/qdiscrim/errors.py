@@ -21,10 +21,6 @@ class NotOrthogonalError(DiscriminationError):
     """Two states required to be orthogonal have a significant overlap."""
 
 
-class NotUnitaryError(DiscriminationError):
-    """A matrix required to be unitary deviates beyond tolerance."""
-
-
 class InvalidDensityError(DiscriminationError):
     """A density matrix violates hermiticity, unit trace or positivity."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitianError, NotUnitaryError
+from .errors import NotHermitianError
 
 SQRT1_2 = 1.0 / np.sqrt(2.0)
 
@@ -32,7 +32,6 @@ ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
 
 NORM_ATOL = 1e-12
-UNITARY_ATOL = 1e-12
 HERMITIAN_ATOL = 1e-10
 
 
@@ -74,17 +73,6 @@ def perp2(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=complex)
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
-
-
-def require_unitary(m: np.ndarray, atol: float = UNITARY_ATOL) -> np.ndarray:
-    """Return ``m`` as a complex array, raising NotUnitaryError when m m^† != I."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotUnitaryError(f"expected a square matrix, got shape {m.shape}")
-    dev = np.abs(m @ dagger(m) - np.eye(m.shape[0])).max()
-    if dev > atol:
-        raise NotUnitaryError(f"matrix deviates from unitarity by {dev:.3e}")
-    return m
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:

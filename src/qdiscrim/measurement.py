@@ -12,13 +12,10 @@ polarisation kets on each side, one Poisson-distributed count per setting.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import linalg
 from .discrimination import FeedForwardProtocol
 from .errors import EmptyCountsError, IncompletePOVMError, InvalidProtocolError
 from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, kron, projector, read_only
@@ -79,29 +76,6 @@ class CoincidenceCounts:
     def to_json(self) -> dict:
         return dict(zip(COINCIDENCE_LABELS, self.as_tuple()))
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CoincidenceCounts":
-        missing = set(COINCIDENCE_LABELS) - set(data)
-        if missing:
-            raise ValueError(f"missing coincidence labels: {sorted(missing)}")
-        return cls(*(data[label] for label in COINCIDENCE_LABELS))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["label", "count"])
-        for label, count in zip(COINCIDENCE_LABELS, self.as_tuple()):
-            writer.writerow([label, count])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "CoincidenceCounts":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["label", "count"]:
-            raise ValueError("expected header 'label,count'")
-        data = {label: int(count) for label, count in rows[1:]}
-        return cls.from_json(data)
-
 
 @dataclass(frozen=True)
 class DiscriminationEstimate:
@@ -156,31 +130,6 @@ class TomographyRecord:
             "counts": self.counts.tolist(),
             "exposure": self.exposure.tolist(),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TomographyRecord":
-        labels = tuple((s[0], s[1]) for s in data["settings"])
-        return cls(labels=labels, counts=data["counts"], exposure=data["exposure"])
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["setting", "count", "exposure"])
-        for label, count, exp in zip(self.labels, self.counts, self.exposure):
-            writer.writerow(["".join(label), count, repr(float(exp))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "TomographyRecord":
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["setting", "count", "exposure"]:
-            raise ValueError("expected header 'setting,count,exposure'")
-        labels, counts, exposure = [], [], []
-        for setting, count, exp in rows[1:]:
-            labels.append((setting[0], setting[1]))
-            counts.append(int(count))
-            exposure.append(float(exp))
-        return cls(labels=tuple(labels), counts=counts, exposure=exposure)
 
 
 def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarray]]:

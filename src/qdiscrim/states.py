@@ -26,14 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, serialize
+from . import linalg
 from .errors import InvalidDensityError
-from .linalg import PAULI_Y, PAULI_Z, dagger, kron, read_only, require_unitary
+from .linalg import PAULI_Y, PAULI_Z, dagger, kron, read_only
 
 DENSITY_ATOL = 1e-10
-# Eigenvalues above this floor are treated as rounding noise and clipped
-# when ingesting external matrices.
+# The constructor accepts eigenvalues down to -NEGATIVE_EIG_TOL as rounding
+# noise and rejects anything more negative.
 NEGATIVE_EIG_TOL = 1e-9
+
+
+def complex_to_pairs(arr: np.ndarray) -> list:
+    """Nested lists with each complex entry replaced by [re, im], for JSON."""
+    arr = np.asarray(arr, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 @dataclass(frozen=True)
@@ -61,11 +67,7 @@ class PureState2Q:
         return complex(np.vdot(self.vec, other.vec))
 
     def to_json(self) -> list:
-        return serialize.complex_to_pairs(self.vec)
-
-    @classmethod
-    def from_json(cls, data) -> "PureState2Q":
-        return cls(serialize.pairs_to_complex(data, shape=(4,)))
+        return complex_to_pairs(self.vec)
 
 
 @dataclass(frozen=True)
@@ -92,38 +94,8 @@ class DensityMatrix2Q:
             raise InvalidDensityError(f"negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "mat", read_only(m))
 
-    @classmethod
-    def from_external(cls, mat: np.ndarray) -> "DensityMatrix2Q":
-        """Construct from external data, repairing rounding-level negativity.
-
-        Eigenvalues in [-1e-9, 0) are clipped to zero and the matrix is
-        re-normalised to unit trace; anything worse raises
-        InvalidDensityError.
-        """
-        m = np.asarray(mat, dtype=complex)
-        if m.shape != (4, 4) or not np.isfinite(m).all():
-            raise InvalidDensityError("expected a finite 4x4 matrix")
-        herm_dev = np.abs(m - dagger(m)).max()
-        if herm_dev > DENSITY_ATOL:
-            raise InvalidDensityError(f"hermiticity violated by {herm_dev:.3e}")
-        m = (m + dagger(m)) / 2.0
-        eig = linalg.hermitian_eig(m)
-        vals = eig.eigenvalues
-        if vals.min() < -NEGATIVE_EIG_TOL:
-            raise InvalidDensityError(f"negative eigenvalue {vals.min():.3e}")
-        vals = np.clip(vals, 0.0, None)
-        total = vals.sum()
-        if total <= 0.0:
-            raise InvalidDensityError("matrix has no positive weight")
-        m = (eig.eigenvectors * (vals / total)) @ dagger(eig.eigenvectors)
-        return cls((m + dagger(m)) / 2.0)
-
     def to_json(self) -> list:
-        return serialize.complex_to_pairs(self.mat)
-
-    @classmethod
-    def from_json(cls, data) -> "DensityMatrix2Q":
-        return cls.from_external(serialize.pairs_to_complex(data, shape=(4, 4)))
+        return complex_to_pairs(self.mat)
 
 
 def u_state() -> np.ndarray:
@@ -181,20 +153,6 @@ def werner_noise(state: PureState2Q, v: float) -> DensityMatrix2Q:
         raise ValueError(f"visibility v must lie in [0, 1], got {v}")
     mat = v * linalg.projector(state.vec) + (1.0 - v) * linalg.ID4 / 4.0
     return DensityMatrix2Q(mat)
-
-
-def apply_local(a: np.ndarray, b: np.ndarray, state):
-    """Apply the product unitary a (x) b to a pure state or density matrix."""
-    a = require_unitary(a)
-    b = require_unitary(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError("local unitaries must be 2x2")
-    u = kron(a, b)
-    if isinstance(state, PureState2Q):
-        return PureState2Q(u @ state.vec)
-    if isinstance(state, DensityMatrix2Q):
-        return DensityMatrix2Q(u @ state.mat @ dagger(u))
-    raise TypeError(f"expected PureState2Q or DensityMatrix2Q, got {type(state)!r}")
 
 
 def tangle(rho: DensityMatrix2Q) -> float:

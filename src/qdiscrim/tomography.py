@@ -191,6 +191,11 @@ def mle_reconstruct(
         rho = DensityMatrix2Q(_MIXED.copy())
         return MLEResult(rho=rho, log_likelihood=0.0, iterations=0, converged=True, gap=0.0)
     root, p0, a = _whitening(design, exposure)
+    # Zero-count settings add nothing to f, its gradient or its Hessian, and
+    # tau > 0 keeps their p~_s positive: the Newton loop leaves them out, so a
+    # p~_s that rounds to zero cannot give 0 / 0.
+    seen = counts > 0
+    n, p0, a = counts[seen], p0[seen], a[seen]
 
     def to_rho(tau: np.ndarray) -> np.ndarray:
         rho = root @ tau @ root
@@ -204,7 +209,7 @@ def mle_reconstruct(
     iterations = stalled = 0
     best_gap, best_tau = np.inf, tau
     while True:
-        weights = counts / probs
+        weights = n / probs
         grad = weights @ a
         gap = _gap(grad, x)
         if gap < best_gap:
@@ -240,7 +245,7 @@ def mle_reconstruct(
             trial_tau = _tau(x + t * step)
             trial_ln_det = _ln_det(trial_tau)
             if trial_ln_det is not None and (t * ratio > -1.0).all():
-                increase = counts @ np.log1p(t * ratio) + mu * (trial_ln_det - ln_det)
+                increase = n @ np.log1p(t * ratio) + mu * (trial_ln_det - ln_det)
                 if increase >= _ARMIJO * t * decrement_sq:
                     break
             t /= 2.0
@@ -259,7 +264,7 @@ def mle_reconstruct(
 
     # Far below rounding the gap can grow again; the best-certified iterate is
     # returned (a converged run's last iterate is always its best).
-    rho = DensityMatrix2Q.from_external(to_rho(best_tau))
+    rho = DensityMatrix2Q(to_rho(best_tau))
     return MLEResult(
         rho=rho,
         log_likelihood=_ll_of_probs(setting_probabilities(rho.mat, design), counts, exposure),

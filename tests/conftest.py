@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qdiscrim import DensityMatrix2Q, PureState2Q
+from qdiscrim.linalg import kron
 from qdiscrim.measurement import TomographyRecord, tomography_settings
 
 
@@ -27,6 +28,14 @@ def random_unitary2(rng) -> np.ndarray:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def apply_local(a: np.ndarray, b: np.ndarray, state):
+    """The product unitary a (x) b applied to a PureState2Q or DensityMatrix2Q."""
+    u = kron(a, b)
+    if isinstance(state, PureState2Q):
+        return PureState2Q(u @ state.vec)
+    return DensityMatrix2Q(u @ state.mat @ u.conj().T)
 
 
 def noiseless_record(rho: DensityMatrix2Q, n_per_setting: int, exposure=None) -> TomographyRecord:

@@ -325,6 +325,14 @@ def test_tomo_at_a_tight_gap_tolerance_exits_0(tmp_path, capsys):
     assert tomo["converged"] is True and tomo["gap"] <= 1e-9
 
 
+@pytest.mark.parametrize("n_per_setting", [2**62, 10**18])
+def test_tomo_of_a_noiseless_bell_target_at_huge_counts_exits_0(tmp_path, capsys, n_per_setting):
+    config = {"master_seed": 7, "state": "bell", "n_per_setting": n_per_setting}
+    code, out, err = run_cli(tmp_path, capsys, "tomo", config)
+    assert code == 0 and err == ""
+    assert json.loads(out)["results"]["tomo"]["converged"] is True
+
+
 # ---------------------------------------------------------------- overrides
 
 
@@ -510,7 +518,17 @@ def test_grid_points_are_exact_decimals(monkeypatch):
 
 
 def test_importing_the_package_does_not_import_scipy():
+    # Nor csv: the CLI's CSV report is a string join.
     src = str(Path(qdiscrim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import qdiscrim, qdiscrim.cli, sys; assert 'scipy' not in sys.modules"
+    code = "import qdiscrim, qdiscrim.cli, sys; assert not {'scipy', 'csv'} & set(sys.modules)"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_export_list_is_sorted_unique_and_resolves():
+    names = qdiscrim.__all__
+    assert names == sorted(names) and len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(qdiscrim, name), name
+    for deleted in ("apply_local", "NotUnitaryError"):
+        assert deleted not in names and not hasattr(qdiscrim, deleted)

@@ -25,9 +25,9 @@ from qdiscrim import (
 )
 from qdiscrim import discrimination
 from qdiscrim.linalg import KET_H, KET_V, kron, projector
-from qdiscrim.states import DensityMatrix2Q, PureState2Q, apply_local, werner_noise
+from qdiscrim.states import DensityMatrix2Q, PureState2Q, werner_noise
 
-from conftest import random_density, random_orthogonal_pair, random_unitary2
+from conftest import apply_local, random_density, random_orthogonal_pair, random_unitary2
 
 
 def random_traceless(rng) -> np.ndarray:

@@ -12,9 +12,7 @@ from qdiscrim.linalg import (
     PAULI_Z,
     perp2,
     projector,
-    require_unitary,
 )
-from qdiscrim.errors import NotUnitaryError
 
 
 def test_basis_kets_are_orthonormal_pairs():
@@ -191,9 +189,3 @@ def test_perp2_is_orthonormal_complement(rng):
         w = perp2(v)
         assert abs(np.vdot(w, v)) < 1e-14
         assert abs(np.linalg.norm(w) - 1) < 1e-14
-
-
-def test_require_unitary():
-    require_unitary(np.eye(2))
-    with pytest.raises(NotUnitaryError):
-        require_unitary(1.01 * np.eye(2))

@@ -4,9 +4,7 @@ import pytest
 from qdiscrim import (
     DensityMatrix2Q,
     InvalidDensityError,
-    NotUnitaryError,
     PureState2Q,
-    apply_local,
     fidelity_pure,
     phi0,
     phi1,
@@ -16,9 +14,9 @@ from qdiscrim import (
     u_state,
     werner_noise,
 )
-from qdiscrim.linalg import PAULI_Y, PAULI_Z, kron, projector
+from qdiscrim.linalg import PAULI_Y, projector
 
-from conftest import random_density, random_pure, random_unitary2
+from conftest import apply_local, random_density, random_pure, random_unitary2
 
 SQ3 = np.sqrt(3.0) / 2.0
 
@@ -106,15 +104,6 @@ def test_density_validation():
         DensityMatrix2Q(nonherm)
 
 
-def test_density_from_external_clips_rounding_negativity():
-    m = np.diag([1.0 + 5e-10, -5e-10, 0.0, 0.0]).astype(complex)
-    rho = DensityMatrix2Q.from_external(m)
-    assert abs(rho.mat.trace().real - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(rho.mat).min() >= -1e-15
-    with pytest.raises(InvalidDensityError):
-        DensityMatrix2Q.from_external(np.diag([1.1, -0.1, 0.0, 0.0]).astype(complex))
-
-
 def test_fidelity_pure_known_values():
     s = phi0(30.0)
     assert abs(fidelity_pure(s.density(), s) - 1.0) < 1e-12
@@ -179,27 +168,6 @@ def test_tangle_of_family_states():
         want = 0.75 * np.sin(np.deg2rad(2 * theta)) ** 2
         assert abs(tangle(phi0(theta).density()) - want) < 1e-7
         assert abs(tangle(phi1(theta).density()) - want) < 1e-7
-
-
-def test_apply_local_pure_and_density():
-    s = phi0(20.0)
-    rotated = apply_local(PAULI_Z, np.eye(2), s)
-    assert abs(abs(rotated.overlap(rotated)) - 1.0) < 1e-12
-    rho = apply_local(PAULI_Z, PAULI_Z, s.density())
-    u = kron(PAULI_Z, PAULI_Z)
-    assert np.abs(rho.mat - u @ s.density().mat @ u.conj().T).max() < 1e-12
-    with pytest.raises(NotUnitaryError):
-        apply_local(np.diag([1.0, 2.0]), np.eye(2), s)
-
-
-def test_state_json_roundtrip(rng):
-    s = random_pure(rng)
-    again = PureState2Q.from_json(s.to_json())
-    assert np.abs(again.vec - s.vec).max() < 1e-15
-
-    rho = random_density(rng)
-    back = DensityMatrix2Q.from_json(rho.to_json())
-    assert np.abs(back.mat - rho.mat).max() < 1e-10
 
 
 def test_density_json_is_re_im_pairs():
