@@ -14,12 +14,14 @@ non-standard NaN and Infinity (or numbers beyond the float range) are
 rejected.  --out, --format and --seed override the config file.  Reports
 embed the resolved config and master seed, and contain nothing time- or
 host-dependent, so re-running a command reproduces the output byte for
-byte.  Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+byte.  Exit codes: 0 success, 2 configuration error or unwritable output,
+3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -149,11 +151,17 @@ class ExperimentConfig:
         return echo
 
 
+@functools.lru_cache(maxsize=None)
+def _hints(cls) -> dict:
+    """The resolved field annotations of a config dataclass, evaluated once."""
+    return typing.get_type_hints(cls)
+
+
 def _build(cls, data: dict, prefix: str = ""):
     """cls from a JSON object, nested dataclasses too: unknown keys, values of
     the wrong JSON type (a boolean is no number) and values the dataclass
     refuses raise ConfigError, nested keys named as ``mle.<key>``."""
-    hints = typing.get_type_hints(cls)
+    hints = _hints(cls)
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(
@@ -479,9 +487,16 @@ def main(argv=None) -> int:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+            if exc.filename not in (None, out_path):  # a parent directory failed
+                reason += f": {exc.filename}"
+            print(f"discrim: cannot write report to {out_path}: {reason}", file=sys.stderr)
+            return 2
     return 0
 
 

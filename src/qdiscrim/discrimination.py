@@ -49,21 +49,8 @@ class PriorPair:
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
 
-    def __getitem__(self, label: int) -> float:
-        return (self.p0, self.p1)[label]
-
 
 EQUAL_PRIORS = PriorPair(0.5, 0.5)
-
-
-def _check_basis(basis: np.ndarray, what: str) -> np.ndarray:
-    basis = np.asarray(basis, dtype=complex)
-    if basis.shape != (2, 2):
-        raise InvalidProtocolError(f"{what} must be two 2-vectors, got shape {basis.shape}")
-    gram = basis.conj() @ basis.T
-    if np.abs(gram - ID2).max() > BASIS_ATOL:
-        raise InvalidProtocolError(f"{what} is not orthonormal within {BASIS_ATOL}")
-    return basis
 
 
 @dataclass(frozen=True)
@@ -83,14 +70,23 @@ class FeedForwardProtocol:
     guess_map: np.ndarray
 
     def __post_init__(self):
-        alice = _check_basis(self.alice_basis, "Alice basis")
+        alice = np.asarray(self.alice_basis, dtype=complex)
+        if alice.shape != (2, 2):
+            raise InvalidProtocolError(
+                f"Alice basis must be two 2-vectors, got shape {alice.shape}"
+            )
         bobs = np.asarray(self.bob_bases, dtype=complex)
         if bobs.shape != (2, 2, 2):
             raise InvalidProtocolError(f"expected 2 Bob bases, got shape {bobs.shape}")
-        for i in range(2):
-            _check_basis(bobs[i], f"Bob basis for Alice outcome {i}")
+        # One Gram check for all three bases: Alice's, then Bob's per Alice outcome.
+        bases = np.concatenate([alice[None], bobs])
+        error = np.abs(bases.conj() @ bases.transpose(0, 2, 1) - ID2).max(axis=(1, 2))
+        bad = np.flatnonzero(~(error <= BASIS_ATOL))
+        if bad.size:
+            what = "Alice basis" if bad[0] == 0 else f"Bob basis for Alice outcome {bad[0] - 1}"
+            raise InvalidProtocolError(f"{what} is not orthonormal within {BASIS_ATOL}")
         guess = np.asarray(self.guess_map)
-        if guess.shape != (2, 2) or not np.isin(guess, (0, 1)).all():
+        if guess.shape != (2, 2) or not ((guess == 0) | (guess == 1)).all():
             raise InvalidProtocolError("guess_map must be a 2x2 array of labels 0/1")
         object.__setattr__(self, "alice_basis", read_only(alice))
         object.__setattr__(self, "bob_bases", read_only(bobs))
@@ -230,6 +226,11 @@ def canonical_protocol() -> FeedForwardProtocol:
     return FeedForwardProtocol(alice_basis=alice, bob_bases=bob, guess_map=guess)
 
 
+def _product_kets(alice: np.ndarray, bobs: np.ndarray) -> np.ndarray:
+    """The four product kets alice[i] (x) bobs[i, j] as rows, Alice's outcome major."""
+    return (alice[:, None, :, None] * bobs[:, :, None, :]).reshape(4, 4)
+
+
 def _check_priors(priors: PriorPair) -> PriorPair:
     if not isinstance(priors, PriorPair):
         raise TypeError("priors must be a PriorPair")
@@ -245,19 +246,18 @@ def ff_success_probability(
     """Average success probability of a one-way protocol, with feed-forward
     or without it (equal Bob bases, as optimize_local_projective returns).
 
-    Sums p_label Tr(rho_label P_ij) over the four outcome branches, where
-    the label is the protocol's guess for branch (i, j).  The projectors
-    resolve the identity because the protocol's bases were checked
+    Sums p_label <k_ij|rho_label|k_ij> over the four product kets k_ij =
+    alice_i (x) bob_ij, where the label is the protocol's guess for branch
+    (i, j): one einsum over the stacked kets and the rho each label picks.
+    The kets resolve the identity because the protocol's bases were checked
     orthonormal when it was built.
     """
     _check_priors(priors)
-    rhos = (rho0.mat, rho1.mat)
-    total = 0.0
-    for i in range(2):
-        for j in range(2):
-            label = int(protocol.guess_map[i, j])
-            total += priors[label] * float(np.trace(rhos[label] @ protocol.projector(i, j)).real)
-    return total
+    kets = _product_kets(protocol.alice_basis, protocol.bob_bases)
+    labels = protocol.guess_map.ravel()
+    rhos = np.stack([rho0.mat, rho1.mat])[labels]
+    weights = np.array([priors.p0, priors.p1])[labels]
+    return float(weights @ np.einsum("oj,ojk,ok->o", kets.conj(), rhos, kets).real)
 
 
 def helstrom_bound(
@@ -317,8 +317,9 @@ def _polish(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
     [(g.m) m - g; 0] for the tangent Newton step v, then keeps the best of
     staying, (m + v)/|m + v| and g/|g|.  f is convex, so g/|g| never scores
     below m and no step loses value.  A start stops when staying wins or its
-    step is shorter than _STEP_TOL; all stop after _MAX_STEPS steps, by which
-    the winning start has settled (losing starts may still be climbing).
+    step is shorter than _STEP_TOL.  The loop ends once the leader, the start
+    that scores highest at its current point, has stopped, and after
+    _MAX_STEPS steps at most; losing starts keep their partly climbed points.
     """
     t, s, mt = table[1:, 0], table[0, 1:], table[1:, 1:]
     mmt, eye = mt @ mt.T, np.eye(4)
@@ -360,7 +361,8 @@ def _polish(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
         best = cand[rows, k]
         live = moved & (((best - alice) ** 2).sum(axis=1) >= _STEP_TOL**2)
         alice = np.where(moved[:, None], best, alice)
-        if not live.any():
+        # The leader scores highest at its new point; once it has stopped, so does the loop.
+        if not live[np.where(moved, scores[rows, k], scores[:, 0]).argmax()]:
             break
     return alice
 
@@ -406,7 +408,8 @@ def optimize_local_projective(
     alone: on a fixed 24 x 12 grid of directions, then by at most 30
     safeguarded Newton steps on the sphere from the config's refine_starts
     best grid points and +/-u, each step taking the Newton point only when
-    it beats both staying and the ascent point g/|g| (see _polish).
+    it beats both staying and the ascent point g/|g|; the polish ends as soon
+    as the best-scoring start has stopped (see _polish).
     Outcomes go to the larger weighted probability (label 0 wins ties) and
     the value is re-evaluated at the winning measurement, so reruns agree
     bit for bit.  The measurement is returned as a FeedForwardProtocol whose
@@ -427,12 +430,11 @@ def optimize_local_projective(
     alice, bob = _best_product(table, np.vstack([starts, a, u]))
 
     ua, ub = _basis(alice), _basis(bob)
-    kets = kron(ua, ub)  # rows: the product kets, Alice's outcome major
+    bobs = np.stack([ub, ub])
+    kets = _product_kets(ua, bobs)
     q0, q1 = (np.einsum("oj,jk,ok->o", kets.conj(), r.mat, kets).real for r in (rho0, rho1))
     assignment = np.where(priors.p0 * q0 >= priors.p1 * q1, 0, 1).reshape(2, 2)
-    protocol = FeedForwardProtocol(
-        alice_basis=ua, bob_bases=np.stack([ub, ub]), guess_map=assignment
-    )
+    protocol = FeedForwardProtocol(alice_basis=ua, bob_bases=bobs, guess_map=assignment)
     return protocol, ff_success_probability(protocol, rho0, rho1, priors)
 
 

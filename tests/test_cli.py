@@ -384,6 +384,29 @@ def test_out_flag_writes_file_instead_of_stdout(tmp_path, capsys):
     json.loads(target.read_text())
 
 
+@pytest.mark.parametrize("where", ["existing directory", "under a regular file"])
+def test_exit_code_2_unwritable_out(tmp_path, capsys, where):
+    # A directory cannot be opened for writing, and a file cannot hold one.
+    (tmp_path / "plain.txt").write_text("")
+    target = tmp_path if where == "existing directory" else tmp_path / "plain.txt" / "r.json"
+    code, out, err = run_cli(tmp_path, capsys, "optimize", {}, extra=("--out", str(target)))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"discrim: cannot write report to {target}: ")
+    assert "Traceback" not in err
+
+
+def test_config_annotations_are_resolved_once(tmp_path, monkeypatch):
+    calls = []
+    resolve = cli.typing.get_type_hints
+    monkeypatch.setattr(cli.typing, "get_type_hints", lambda c: calls.append(c) or resolve(c))
+    cli._hints.cache_clear()
+    path = write_config(tmp_path, {"experiment": "tomo", "master_seed": 1, "mle": {}})
+    for _ in range(3):
+        load_config(path, overrides={})
+    assert sorted(c.__name__ for c in calls) == ["ExperimentConfig", "MLEConfig"]
+
+
 def test_output_dir_env_var_applies_to_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DISCRIM_OUTPUT_DIR", str(tmp_path / "outputs"))
     monkeypatch.chdir(tmp_path)

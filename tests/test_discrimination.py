@@ -260,6 +260,61 @@ def test_ff_success_on_werner_pair_is_visibility_law():
         assert abs(got - (v + (1.0 - v) / 2.0)) < 1e-12
 
 
+def kron_oracle_success(protocol, rho0, rho1, priors) -> float:
+    """Sum over (i, j) of p_label Tr(rho_label kron(|a_i><a_i|, |b_ij><b_ij|)),
+    with the label the protocol's guess for branch (i, j)."""
+    total = 0.0
+    for i in range(2):
+        a = protocol.alice_basis[i]
+        for j in range(2):
+            b = protocol.bob_bases[i][j]
+            label = protocol.guess_map[i, j]
+            proj = np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+            rho = (rho0, rho1)[label].mat
+            total += (priors.p0, priors.p1)[label] * np.trace(rho @ proj).real
+    return total
+
+
+def test_ff_success_matches_kron_oracle_on_random_protocols(rng):
+    for n in range(200):
+        guess = np.array([(n >> k) & 1 for k in range(4)]).reshape(2, 2)  # all 16 maps
+        protocol = FeedForwardProtocol(
+            alice_basis=random_unitary2(rng),
+            bob_bases=np.stack([random_unitary2(rng), random_unitary2(rng)]),
+            guess_map=guess,
+        )
+        r0, r1 = random_density(rng, 1 + n % 4), random_density(rng, 1 + n % 4)
+        p = rng.uniform(0.05, 0.95)
+        priors = PriorPair(p, 1.0 - p)
+        got = ff_success_probability(protocol, r0, r1, priors)
+        assert abs(got - kron_oracle_success(protocol, r0, r1, priors)) < 1e-14
+
+
+_EYE = np.eye(2, dtype=complex)
+_SKEW = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)  # unit rows, not orthogonal
+
+
+@pytest.mark.parametrize(
+    "alice, bobs, guess, message",
+    [
+        (_SKEW, [_EYE, _EYE], [[0, 1], [0, 1]], "Alice basis is not orthonormal"),
+        (_EYE, [_SKEW, _EYE], [[0, 1], [0, 1]], "Bob basis for Alice outcome 0 is not orthonormal"),
+        (_EYE, [_EYE, _SKEW], [[0, 1], [0, 1]], "Bob basis for Alice outcome 1 is not orthonormal"),
+        (_EYE * np.nan, [_EYE, _EYE], [[0, 1], [0, 1]], "Alice basis is not orthonormal"),
+        (np.eye(3), [_EYE, _EYE], [[0, 1], [0, 1]], "Alice basis must be two 2-vectors"),
+        (_EYE, [_EYE], [[0, 1], [0, 1]], "expected 2 Bob bases"),
+        (_EYE, [_EYE, _EYE], [[0, 1]], "guess_map must be a 2x2 array"),
+        (_EYE, [_EYE, _EYE], [[0, 1], [0, 2]], "guess_map must be a 2x2 array"),
+        (_EYE, [_EYE, _EYE], [[0, 1], [0.5, 1]], "guess_map must be a 2x2 array"),
+    ],
+    ids=["alice", "bob0", "bob1", "nan", "alice-shape", "bob-shape", "guess-shape", "label-2",
+         "label-0.5"],
+)
+def test_protocol_validation_names_the_fault(alice, bobs, guess, message):
+    with pytest.raises(InvalidProtocolError, match=message):
+        FeedForwardProtocol(alice_basis=alice, bob_bases=np.array(bobs), guess_map=np.array(guess))
+
+
 # ---------------------------------------------------------------- product (no feed-forward)
 
 
@@ -345,11 +400,14 @@ def brute_force_success(rho0, rho1, priors, alice_dirs: np.ndarray) -> np.ndarra
     return best
 
 
-def dense_no_ff_search(rho0, rho1, priors=EQUAL_PRIORS) -> float:
-    """Best no-feed-forward success found on a 1-degree sphere grid of Alice
-    directions, refined by shrinking 21 x 21 patches around the best points."""
+def dense_no_ff_search(rho0, rho1, priors=EQUAL_PRIORS, step_deg=1.0) -> float:
+    """Best no-feed-forward success found on a sphere grid of Alice directions
+    (1-degree steps by default), refined by shrinking 21 x 21 patches around
+    the best points."""
     t, p = np.meshgrid(
-        np.radians(np.arange(181.0)), np.radians(np.arange(360.0)), indexing="ij"
+        np.radians(np.arange(0.0, 180.0 + step_deg / 2, step_deg)),
+        np.radians(np.arange(0.0, 360.0, step_deg)),
+        indexing="ij",
     )
     dirs = np.stack([np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], -1)
     dirs = dirs.reshape(-1, 3)
@@ -440,6 +498,41 @@ def test_optimizer_polish_converges_in_few_steps(rng, monkeypatch):
         full_meas, full = optimize_local_projective(*pair)
         assert short == full
         assert np.array_equal(meas.alice_basis, full_meas.alice_basis)
+
+
+def test_polish_stops_once_its_leader_has_stopped(monkeypatch):
+    # _mixed_term scores the grid once per call and the candidates once per
+    # polish step, so its calls count the steps without a clock.  Running
+    # every start until it stops took 6.1 steps a call on these pairs.
+    calls = []
+    mixed_term = discrimination._mixed_term
+    monkeypatch.setattr(
+        discrimination, "_mixed_term", lambda *args: calls.append(1) or mixed_term(*args)
+    )
+    rng = np.random.default_rng(1919)
+    pairs = []
+    for i in range(180):
+        v = 1.0 if i % 2 else rng.uniform(0.85, 1.0)
+        if i < 100:
+            a, b = phi0(rng.uniform(0.0, 90.0)), phi1(rng.uniform(0.0, 90.0))
+        else:
+            a, b = psi_pair(rng.uniform(0.0, 45.0))
+        pairs.append((werner_noise(a, v), werner_noise(b, v)))
+    for r0, r1 in pairs:
+        optimize_local_projective(r0, r1)
+    steps = (len(calls) - len(pairs)) / len(pairs)
+    assert steps <= 4.5
+
+
+def test_optimizer_with_early_stop_meets_the_oracles_on_skewed_priors():
+    rng = np.random.default_rng(1920)
+    for i in range(12):
+        r0, r1 = random_density(rng, 1 + i % 4), random_density(rng, 1 + i % 4)
+        p = rng.uniform(0.05, 0.3)
+        priors = PriorPair(p, 1.0 - p) if i % 2 else PriorPair(1.0 - p, p)
+        _, value = optimize_local_projective(r0, r1, priors)
+        assert value >= dense_no_ff_search(r0, r1, priors, step_deg=2.0) - 1e-12
+        assert value <= helstrom_bound(r0, r1, priors) + 1e-12
 
 
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
