@@ -44,7 +44,8 @@ class PriorPair:
 
     def __post_init__(self):
         p0, p1 = float(self.p0), float(self.p1)
-        if p0 < 0.0 or p1 < 0.0 or abs(p0 + p1 - 1.0) > 1e-12:
+        # Every comparison with NaN is false, so NaN fails this test too.
+        if not (p0 >= 0.0 and p1 >= 0.0 and abs(p0 + p1 - 1.0) <= 1e-12):
             raise ValueError(f"priors must be nonnegative and sum to 1, got ({p0}, {p1})")
         object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "p1", p1)
@@ -110,8 +111,9 @@ class OptimizerConfig:
     refine_starts: int = 8
 
     def __post_init__(self):
-        if self.refine_starts < 0:
-            raise ValueError("refine_starts must be nonnegative")
+        n = self.refine_starts
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
+            raise ValueError(f"refine_starts must be a nonnegative integer, got {n!r}")
 
 
 def hollow_vector(m: np.ndarray) -> np.ndarray:

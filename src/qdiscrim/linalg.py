@@ -5,9 +5,8 @@ vectors, 2x2 and 4x4 complex matrices.  Two-qubit indices are ordered
 Alice-major, i.e. the product basis is (HH, HV, VH, VV), and ``kron`` takes
 the Alice factor first so that index arithmetic matches that ordering.
 
-The Hermitian eigensolver is LAPACK's, through ``np.linalg.eigh``; on top
-of it ``hermitian_eig`` fixes each eigenvector's phase and totally orders
-the eigenpairs, so that downstream results are reproducible bit for bit.
+The Hermitian eigensolver is LAPACK's, through ``np.linalg.eigh``, behind
+one hermiticity check (``require_hermitian``, tolerance ``HERMITIAN_ATOL``).
 """
 
 from __future__ import annotations
@@ -75,7 +74,7 @@ def perp2(v: np.ndarray) -> np.ndarray:
     return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     """Return the exactly symmetrised copy of ``m``, or raise NotHermitianError."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -83,7 +82,7 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix contains non-finite entries")
     dev = np.abs(m - dagger(m)).max()
-    if dev > atol:
+    if dev > HERMITIAN_ATOL:
         raise NotHermitianError(f"matrix deviates from hermiticity by {dev:.3e}")
     return (m + dagger(m)) / 2.0
 
@@ -92,40 +91,25 @@ def require_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> np.ndarray
 class HermitianEig:
     """Eigendecomposition of a Hermitian matrix.
 
-    eigenvalues are real and ascending; eigenvectors[:, k] is the unit
-    eigenvector of eigenvalues[k] with its largest-magnitude component made
-    real and positive.  Exact eigenvalue ties are broken by lexicographic
-    comparison of the eigenvectors' real parts, so the ordering is total.
+    eigenvalues are real and ascending; eigenvectors[:, k] is a unit
+    eigenvector of eigenvalues[k], as LAPACK returns it.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """The columns of v, each rotated so its largest-magnitude entry is real and positive."""
-    lead = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
-    return v * (lead.conj() / np.abs(lead))
-
-
-def hermitian_eig(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> HermitianEig:
+def hermitian_eig(m: np.ndarray) -> HermitianEig:
     """Diagonalise a Hermitian matrix with LAPACK's ``np.linalg.eigh``.
 
-    The input is checked and symmetrised by require_hermitian.  Each unit
-    eigenvector then gets the phase fix of HermitianEig, and the pairs are
-    sorted by eigenvalue with ties broken by the eigenvectors' real parts,
-    so the result is a deterministic function of the input.
+    The input is checked and symmetrised by require_hermitian.
 
     Raises NotHermitianError for non-Hermitian or non-finite input.
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(m, atol))
-    eigenvectors = _fix_phase(eigenvectors)
-    # lexsort's last key is the primary one: eigenvalue, then components 0, 1, ...
-    order = np.lexsort(np.vstack([eigenvectors.real[::-1], eigenvalues]))
-    return HermitianEig(eigenvalues=eigenvalues[order], eigenvectors=eigenvectors[:, order])
+    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(m))
+    return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def trace_norm(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> float:
+def trace_norm(m: np.ndarray) -> float:
     """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    eig = hermitian_eig(m, atol)
-    return float(np.abs(eig.eigenvalues).sum())
+    return float(np.abs(hermitian_eig(m).eigenvalues).sum())

@@ -60,7 +60,11 @@ class CoincidenceCounts:
     def __post_init__(self):
         for name in ("n_ta_tb", "n_ta_rb", "n_ra_tb", "n_ra_rb"):
             val = getattr(self, name)
-            if int(val) != val or val < 0:
+            try:
+                whole = int(val) == val
+            except (OverflowError, ValueError):  # infinity or NaN
+                whole = False
+            if not whole or val < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {val!r}")
             object.__setattr__(self, name, int(val))
         if self.total == 0:
@@ -94,39 +98,31 @@ class DiscriminationEstimate:
 
 @dataclass(frozen=True)
 class TomographyRecord:
-    """Counts for the 36 tomography settings, in the canonical order."""
+    """Counts and exposures for the 36 tomography settings, in TOMO_LABELS order."""
 
-    labels: tuple
     counts: np.ndarray
     exposure: np.ndarray
 
     def __post_init__(self):
-        labels = tuple((str(a), str(b)) for a, b in self.labels)
-        if len(labels) != 36 or len(set(labels)) != 36:
-            raise ValueError("expected 36 distinct setting labels")
-        for a, b in labels:
-            if a not in TOMO_BASIS_LABELS or b not in TOMO_BASIS_LABELS:
-                raise ValueError(f"unknown setting label ({a}, {b})")
         counts = np.asarray(self.counts)
         if counts.shape != (36,) or (counts < 0).any() or not (counts == counts.astype(int)).all():
             raise ValueError("counts must be 36 nonnegative integers")
         exposure = np.asarray(self.exposure, dtype=float)
         if exposure.shape != (36,) or (exposure <= 0).any() or not np.isfinite(exposure).all():
             raise ValueError("exposure must be 36 positive reals")
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "counts", read_only(counts, int))
         object.__setattr__(self, "exposure", read_only(exposure))
 
     @classmethod
     def from_counts(cls, counts, exposure=None) -> "TomographyRecord":
-        """Record in canonical setting order with optional exposures."""
+        """Record with optional exposures (default all 1)."""
         if exposure is None:
             exposure = np.ones(36)
-        return cls(labels=TOMO_LABELS, counts=counts, exposure=exposure)
+        return cls(counts=counts, exposure=exposure)
 
     def to_json(self) -> dict:
         return {
-            "settings": ["".join(label) for label in self.labels],
+            "settings": ["".join(label) for label in TOMO_LABELS],
             "counts": self.counts.tolist(),
             "exposure": self.exposure.tolist(),
         }
@@ -203,8 +199,6 @@ def estimate(
     quadrature for the average.
     """
     n0, n1 = counts0.total, counts1.total
-    if n0 == 0 or n1 == 0:
-        raise EmptyCountsError("both runs must contain events")
     p0 = (counts0.n_ta_tb + counts0.n_ra_tb) / n0
     p1 = (counts1.n_ta_rb + counts1.n_ra_rb) / n1
     sigma_p0 = float(np.sqrt(p0 * (1.0 - p0) / n0))
@@ -230,9 +224,9 @@ def tomography_settings() -> list[tuple[tuple[str, str], np.ndarray]]:
     return [(label, mat.copy()) for label, mat in zip(TOMO_LABELS, _TOMO_PROJECTORS)]
 
 
-def setting_probabilities(mat: np.ndarray, design: np.ndarray = TOMO_DESIGN) -> np.ndarray:
-    """Re Tr(Pi_s mat) for every row s of a tomography design matrix."""
-    return design @ np.ascontiguousarray(mat, dtype=complex).reshape(16).view(np.float64)
+def setting_probabilities(mat: np.ndarray) -> np.ndarray:
+    """Re Tr(Pi_s mat) for the 36 tomography settings, in TOMO_LABELS order."""
+    return TOMO_DESIGN @ np.ascontiguousarray(mat, dtype=complex).reshape(16).view(np.float64)
 
 
 def simulate_tomography(
@@ -240,8 +234,8 @@ def simulate_tomography(
 ) -> TomographyRecord:
     """Poisson tomography record with mean n_per_setting * e_s * Tr(rho Pi_s).
 
-    ``exposure`` holds the 36 positive e_s in canonical setting order
-    (default all 1) and is stored in the record.
+    ``exposure`` holds the 36 positive e_s in TOMO_LABELS order (default
+    all 1) and is stored in the record.
     """
     if n_per_setting <= 0:
         raise ValueError(f"n_per_setting must be positive, got {n_per_setting}")

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import InvalidDensityError
+from .errors import InvalidDensityError, NotHermitianError
 from .linalg import PAULI_Y, PAULI_Z, dagger, kron, read_only
 
+# Tolerance of the unit-trace check.
 DENSITY_ATOL = 1e-10
 # The constructor accepts eigenvalues down to -NEGATIVE_EIG_TOL as rounding
 # noise and rejects anything more negative.
@@ -80,12 +81,10 @@ class DensityMatrix2Q:
         m = np.asarray(self.mat, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidDensityError(f"expected a 4x4 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise InvalidDensityError("density matrix must be finite")
-        herm_dev = np.abs(m - dagger(m)).max()
-        if herm_dev > DENSITY_ATOL:
-            raise InvalidDensityError(f"hermiticity violated by {herm_dev:.3e}")
-        m = (m + dagger(m)) / 2.0
+        try:
+            m = linalg.require_hermitian(m)
+        except NotHermitianError as exc:
+            raise InvalidDensityError(str(exc)) from exc
         trace_dev = abs(m.trace().real - 1.0)
         if trace_dev > DENSITY_ATOL:
             raise InvalidDensityError(f"trace deviates from 1 by {trace_dev:.3e}")

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import PAULIS, kron, read_only
-from .measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
+from .measurement import TOMO_DESIGN, TomographyRecord, setting_probabilities
 from .states import DensityMatrix2Q
 
 _PROB_FLOOR = 1e-15
@@ -76,8 +76,9 @@ class MLEConfig:
     gap_tolerance: float = 1e-2
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        n = self.max_iterations
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError(f"max_iterations must be a positive integer, got {n!r}")
         if not 0.0 < self.gap_tolerance < np.inf:
             raise ValueError("gap_tolerance must be positive and finite")
 
@@ -106,16 +107,6 @@ class MLEResult:
         }
 
 
-_DESIGN_ROW = {label: s for s, label in enumerate(TOMO_LABELS)}
-
-
-def _record_arrays(record: TomographyRecord):
-    """Design rows in the record's setting order, counts and exposures."""
-    design = TOMO_DESIGN[[_DESIGN_ROW[label] for label in record.labels]]
-    counts = record.counts.astype(float)
-    return design, counts, record.exposure
-
-
 def _ll_of_probs(probs: np.ndarray, counts: np.ndarray, exposure: np.ndarray) -> float:
     total = counts.sum()
     mean_rate = 4.0 * (exposure @ probs) / exposure.sum()
@@ -131,21 +122,22 @@ def log_likelihood(rho: DensityMatrix2Q, record: TomographyRecord) -> float:
     states with exact zeros stay comparable.  Rescaling all exposures by
     one factor leaves the value unchanged.
     """
-    design, counts, exposure = _record_arrays(record)
-    return _ll_of_probs(setting_probabilities(rho.mat, design), counts, exposure)
+    return _ll_of_probs(
+        setting_probabilities(rho.mat), record.counts.astype(float), record.exposure
+    )
 
 
-def _whitening(design: np.ndarray, exposure: np.ndarray):
+def _whitening(exposure: np.ndarray):
     """G^-1/2 and the whitened design in Pauli coordinates.
 
     Returns (root, p0, a): root = G^-1/2, and for tau = I/4 + sum_k x_k B_k
     the whitened probabilities are Tr(Pi~_s tau) = p0_s + (a @ x)_s.
     """
-    gram = (exposure @ design).view(complex).reshape(4, 4)
+    gram = (exposure @ TOMO_DESIGN).view(complex).reshape(4, 4)
     vals, vecs = np.linalg.eigh(gram)
     root = (vecs / np.sqrt(vals)) @ vecs.conj().T
     basis = np.ascontiguousarray(root @ _PAULI_BASIS @ root).reshape(16, 16)
-    coords = exposure[:, None] * (design @ basis.view(np.float64).T)
+    coords = exposure[:, None] * (TOMO_DESIGN @ basis.view(np.float64).T)
     return root, coords[:, 0] / 2.0, coords[:, 1:]
 
 
@@ -184,13 +176,13 @@ def mle_reconstruct(
     every step.
     """
     cfg = config or MLEConfig()
-    design, counts, exposure = _record_arrays(record)
+    counts, exposure = record.counts.astype(float), record.exposure
     total = counts.sum()
     if total == 0:
         # No events: the likelihood is flat, every state is maximal.
         rho = DensityMatrix2Q(_MIXED.copy())
         return MLEResult(rho=rho, log_likelihood=0.0, iterations=0, converged=True, gap=0.0)
-    root, p0, a = _whitening(design, exposure)
+    root, p0, a = _whitening(exposure)
     # Zero-count settings add nothing to f, its gradient or its Hessian, and
     # tau > 0 keeps their p~_s positive: the Newton loop leaves them out, so a
     # p~_s that rounds to zero cannot give 0 / 0.
@@ -259,7 +251,7 @@ def mle_reconstruct(
         iterations += 1
         if callback is not None:
             rho = to_rho(tau)
-            ll = _ll_of_probs(setting_probabilities(rho, design), counts, exposure)
+            ll = _ll_of_probs(setting_probabilities(rho), counts, exposure)
             callback(iterations, rho, ll)
 
     # Far below rounding the gap can grow again; the best-certified iterate is
@@ -267,7 +259,7 @@ def mle_reconstruct(
     rho = DensityMatrix2Q(to_rho(best_tau))
     return MLEResult(
         rho=rho,
-        log_likelihood=_ll_of_probs(setting_probabilities(rho.mat, design), counts, exposure),
+        log_likelihood=_ll_of_probs(setting_probabilities(rho.mat), counts, exposure),
         iterations=iterations,
         converged=best_gap <= cfg.gap_tolerance,
         gap=best_gap,

@@ -138,6 +138,12 @@ def test_prior_pair_validation():
         PriorPair(0.6, 0.6)
     with pytest.raises(ValueError):
         PriorPair(-0.1, 1.1)
+    # NaN priors used to construct and then fail inside helstrom_bound with a
+    # misleading NotHermitianError.
+    nan, inf = float("nan"), float("inf")
+    for bad in ((nan, 0.5), (0.5, nan), (nan, nan), (inf, 0.0), (inf, -inf)):
+        with pytest.raises(ValueError, match="priors"):
+            PriorPair(*bad)
 
 
 # ---------------------------------------------------------------- walgate
@@ -574,6 +580,15 @@ def test_optimizer_without_polish_keeps_the_best_grid_point(rng):
 def test_optimizer_config_rejects_negative_starts():
     with pytest.raises(ValueError):
         OptimizerConfig(refine_starts=-1)
+
+
+def test_optimizer_config_takes_integers_only():
+    for good in (0, 3, np.int64(2), np.int32(0)):
+        assert OptimizerConfig(refine_starts=good).refine_starts == good
+    # A float used to pass and then end the optimiser in a slice TypeError.
+    for bad in (2.5, 2.0, True, False, np.float64(2.0), "2", None):
+        with pytest.raises(ValueError, match="refine_starts"):
+            OptimizerConfig(refine_starts=bad)
 
 
 # ---------------------------------------------------------------- advantage

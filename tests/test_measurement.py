@@ -128,6 +128,10 @@ def test_counts_validation_and_serialisation():
     assert counts.to_json() == {"TaTb": 5, "TaRb": 1, "RaTb": 2, "RaRb": 2}
     with pytest.raises(ValueError):
         CoincidenceCounts(-1, 0, 0, 5)
+    # Infinity used to raise OverflowError from int(); scalars get ValueError.
+    for bad in (float("inf"), float("-inf"), float("nan"), 1.5):
+        with pytest.raises(ValueError):
+            CoincidenceCounts(bad, 1, 0, 0)
     with pytest.raises(EmptyCountsError):
         CoincidenceCounts(0, 0, 0, 0)
 

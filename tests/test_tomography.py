@@ -92,9 +92,7 @@ def test_log_likelihood_weights_exposures(rng):
 def test_log_likelihood_invariant_under_exposure_rescaling():
     truth = werner_noise(phi0(35.0), 0.8)
     record = simulate_tomography(truth, 5000, seed=12)
-    doubled = TomographyRecord(
-        labels=record.labels, counts=record.counts, exposure=record.exposure * 2.0
-    )
+    doubled = TomographyRecord(counts=record.counts, exposure=record.exposure * 2.0)
     a = log_likelihood(truth, record)
     b = log_likelihood(truth, doubled)
     assert a == pytest.approx(b, rel=1e-12)
@@ -210,9 +208,14 @@ def test_mle_config_validation():
     # Unknown keys are the config loader's to reject (tests/test_cli.py).
     cfg = MLEConfig(max_iterations=100, gap_tolerance=1e-3)
     assert (cfg.max_iterations, cfg.gap_tolerance) == (100, 1e-3)
+    assert MLEConfig(max_iterations=np.int64(7)).max_iterations == 7
     for bad in ({"gap_tolerance": 0.0}, {"gap_tolerance": np.inf}, {"max_iterations": 0}):
         with pytest.raises(ValueError):
             MLEConfig(**bad)
+    # A float cap used to pass, and iterations == max_iterations never fired.
+    for bad in (1.5, 2.5, 5.0, True, False, np.float64(5.0), "5", None):
+        with pytest.raises(ValueError, match="max_iterations"):
+            MLEConfig(max_iterations=bad)
 
 
 def test_fidelity_and_result_serialisation():
@@ -243,8 +246,7 @@ def _reference_mle(record, max_iterations=5000, ll_tolerance=1e-10, dilution=0.5
     """The diluted R rho R loop that the barrier Newton solver replaced, on
     matrices, with einsum over the projector stack and its old defaults.  It
     ignores exposures and stops on a small likelihood change, not a gap."""
-    by_label = dict(tomography_settings())
-    projs = np.stack([by_label[label] for label in record.labels])
+    projs = np.stack([mat for _, mat in tomography_settings()])
     counts = record.counts.astype(float)
     total = counts.sum()
     fluxes = record.exposure * 4.0 * total / record.exposure.sum()
