@@ -42,6 +42,7 @@ from .discrimination import (
     helstrom_bound,
     hollow_vector,
     optimize_local_projective,
+    optimize_pairs,
     walgate_decompose,
 )
 from .measurement import (
@@ -99,6 +100,7 @@ __all__ = [
     "log_likelihood",
     "mle_reconstruct",
     "optimize_local_projective",
+    "optimize_pairs",
     "phi0",
     "phi1",
     "protocol_to_povm",

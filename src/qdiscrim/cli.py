@@ -39,10 +39,12 @@ from .discrimination import (
     ff_success_probability,
     helstrom_bound,
     optimize_local_projective,
+    optimize_pairs,
     walgate_decompose,
 )
 from .errors import DiscriminationError
 from .measurement import (
+    MAX_COUNT,
     estimate,
     protocol_to_povm,
     sample_coincidences,
@@ -66,9 +68,6 @@ TOMO_STATES = ("phi0", "phi1", "psi0", "psi1", "bell")
 OUTPUT_DIR_ENV = "DISCRIM_OUTPUT_DIR"
 
 _SAMPLING_EXPERIMENTS = {"pair", "grid", "curve", "tomo"}
-# Largest n_events and n_per_setting: numpy's multinomial takes counts up to
-# 2**63 - 1 and its Poisson draw means up to about 9.2e18.
-MAX_COUNT = 2**62
 # Most rows a grid or curve may have; the count is checked before any row list
 # is built.
 MAX_ROWS = 10**4
@@ -248,13 +247,18 @@ def _sample(protocol, rho0, rho1, cfg: ExperimentConfig, row_index: int) -> dict
     }
 
 
-def _pair_row(theta0: float, theta1: float, cfg: ExperimentConfig, row_index: int) -> dict:
+def _phi_states(theta0: float, theta1: float, cfg: ExperimentConfig) -> tuple:
+    """phi0(theta0), phi1(theta1) and the two with the config's Werner noise."""
     ideal0, ideal1 = phi0(theta0), phi1(theta1)
-    rho0 = werner_noise(ideal0, cfg.noise_v)
-    rho1 = werner_noise(ideal1, cfg.noise_v)
+    return ideal0, ideal1, werner_noise(ideal0, cfg.noise_v), werner_noise(ideal1, cfg.noise_v)
+
+
+def _pair_row(
+    theta0: float, theta1: float, states: tuple, no_ff: float, cfg: ExperimentConfig, row_index: int
+) -> dict:
+    ideal0, ideal1, rho0, rho1 = states
     protocol = walgate_decompose(ideal0, ideal1)
     ff_exact = ff_success_probability(protocol, rho0, rho1, EQUAL_PRIORS)
-    _, no_ff = optimize_local_projective(rho0, rho1, EQUAL_PRIORS)
     return {
         "row_index": row_index,
         "theta0_deg": theta0,
@@ -269,25 +273,35 @@ def _pair_row(theta0: float, theta1: float, cfg: ExperimentConfig, row_index: in
 
 def run_pair(cfg: ExperimentConfig) -> dict:
     """Full comparison for a single orthogonal-family pair."""
-    return {"pair": _pair_row(cfg.theta0_deg, cfg.theta1_deg, cfg, row_index=0)}
+    states = _phi_states(cfg.theta0_deg, cfg.theta1_deg, cfg)
+    _, no_ff = optimize_local_projective(*states[2:], EQUAL_PRIORS)
+    return {"pair": _pair_row(cfg.theta0_deg, cfg.theta1_deg, states, no_ff, cfg, row_index=0)}
+
+
+def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
+    """The rows of the (theta0, theta1) pairs, in order; one optimize_pairs call
+    searches every row's best no-feed-forward measurement."""
+    states = [_phi_states(t0, t1, cfg) for t0, t1 in angles]
+    best = optimize_pairs([s[2:] for s in states], EQUAL_PRIORS)
+    return [
+        _pair_row(t0, t1, s, no_ff, cfg, row)
+        for row, ((t0, t1), s, (_, no_ff)) in enumerate(zip(angles, states, best))
+    ]
 
 
 def run_grid(cfg: ExperimentConfig) -> dict:
     """Sweep the orthogonal family over a square angle grid."""
     values = _decimal_range(0.0, 90.0, cfg.grid_step_deg)
-    pairs = [(t0, t1) for t0 in values for t1 in values]
-    return {"rows": [_pair_row(t0, t1, cfg, row) for row, (t0, t1) in enumerate(pairs)]}
+    return {"rows": _grid_rows([(t0, t1) for t0 in values for t1 in values], cfg)}
 
 
-def _curve_row(eta: float, cfg: ExperimentConfig, row_index: int) -> dict:
-    ideal0, ideal1 = psi_pair(eta)
-    rho0_ideal, rho1_ideal = ideal0.density(), ideal1.density()
-    rho0 = werner_noise(ideal0, cfg.noise_v)
-    rho1 = werner_noise(ideal1, cfg.noise_v)
+def _curve_row(
+    eta: float, states: tuple, no_ff_ideal: float, no_ff_noisy: float, cfg: ExperimentConfig,
+    row_index: int,
+) -> dict:
+    rho0_ideal, rho1_ideal, rho0, rho1 = states
     protocol = canonical_protocol()
     sampled = _sample(protocol, rho0, rho1, cfg, row_index)
-    _, no_ff_ideal = optimize_local_projective(rho0_ideal, rho1_ideal, EQUAL_PRIORS)
-    _, no_ff_noisy = optimize_local_projective(rho0, rho1, EQUAL_PRIORS)
     return {
         "row_index": row_index,
         "eta_deg": eta,
@@ -307,10 +321,19 @@ def run_curve(cfg: ExperimentConfig) -> dict:
 
     Exact columns cover the fixed-protocol (feed-forward) success and the
     best no-feed-forward measurement, for ideal and noisy preparations;
-    sampled estimates use the configured event budget.
+    sampled estimates use the configured event budget.  One optimize_pairs
+    call searches every row's ideal and noisy pair.
     """
     etas = _decimal_range(cfg.eta_min_deg, cfg.eta_max_deg, cfg.eta_step_deg)
-    return {"rows": [_curve_row(eta, cfg, i) for i, eta in enumerate(etas)]}
+    states = []
+    for eta in etas:
+        ideal0, ideal1 = psi_pair(eta)
+        states.append((ideal0.density(), ideal1.density(),
+                       werner_noise(ideal0, cfg.noise_v), werner_noise(ideal1, cfg.noise_v)))
+    pairs = [pair for s in states for pair in (s[:2], s[2:])]
+    best = [value for _, value in optimize_pairs(pairs, EQUAL_PRIORS)]
+    rows = zip(etas, states, best[0::2], best[1::2])
+    return {"rows": [_curve_row(*row, cfg, i) for i, row in enumerate(rows)]}
 
 
 def _tomo_target(cfg: ExperimentConfig) -> PureState2Q:
@@ -450,7 +473,9 @@ def _resolve_output(cfg: ExperimentConfig) -> str | None:
     return path
 
 
-def main(argv=None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="discrim",
         description="Simulated discrimination experiments for entangled two-qubit states.",
@@ -460,7 +485,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output file (default: stdout)")
     parser.add_argument("--format", default=None, choices=("csv", "json"))
     parser.add_argument("--seed", default=None, type=int, help="master seed override")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(

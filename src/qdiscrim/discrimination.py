@@ -229,8 +229,10 @@ def canonical_protocol() -> FeedForwardProtocol:
 
 
 def _product_kets(alice: np.ndarray, bobs: np.ndarray) -> np.ndarray:
-    """The four product kets alice[i] (x) bobs[i, j] as rows, Alice's outcome major."""
-    return (alice[:, None, :, None] * bobs[:, :, None, :]).reshape(4, 4)
+    """The four product kets alice[i] (x) bobs[i, j] as rows, Alice's outcome
+    major; (..., 2, 2) and (..., 2, 2, 2) stacks give a (..., 4, 4) stack."""
+    kets = alice[..., :, None, :, None] * bobs[..., :, :, None, :]
+    return kets.reshape(kets.shape[:-4] + (4, 4))
 
 
 def _check_priors(priors: PriorPair) -> PriorPair:
@@ -286,10 +288,20 @@ _MAX_STEPS = 30
 _STEP_TOL = 1e-10
 
 
+def _norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) of a real array, bit for bit, without its
+    argument handling (the polish takes five such norms a step)."""
+    return np.sqrt((x * x).sum(axis=-1, keepdims=keepdims))
+
+
 def _mixed_term(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
-    """4 (|c+| + |r-|) for Alice directions alice (see optimize_local_projective)."""
-    u = alice @ table[1:]
-    return np.abs(table[0, 0] + u[..., 0]) + np.linalg.norm(table[0, 1:] - u[..., 1:], axis=-1)
+    """4 (|c+| + |r-|) for Alice directions alice (see optimize_local_projective).
+
+    table is a (..., 4, 4) stack and alice a (..., n, 3) stack of directions
+    for each table, or one (n, 3) set for all of them.
+    """
+    u = alice @ table[..., 1:, :]
+    return np.abs(table[..., None, 0, 0] + u[..., 0]) + _norms(table[..., None, 0, 1:] - u[..., 1:])
 
 
 def _directions(angles: np.ndarray) -> np.ndarray:
@@ -308,88 +320,118 @@ def _sphere_grid(polar: int, azimuth: int) -> np.ndarray:
 
 # Alice directions scored before the polish.
 _GRID = _sphere_grid(24, 12)
+# optimize_pairs searches at most this many pairs at once, so that its stacked
+# arrays stay a few MB however many pairs it is given.
+_BLOCK = 64
 
 
 def _polish(table: np.ndarray, alice: np.ndarray) -> np.ndarray:
     """Safeguarded Newton ascent of the mixed term on the sphere, all starts at once.
 
+    table is a (B, 4, 4) stack and alice the (B, S, 3) starts of each pair.
     f(m) = |T00 + t.m| + |r| with r = s - M^T m has gradient
     g = sign(T00 + t.m) t - M r/|r| and Hessian H = M (I - r r^T/|r|^2) M^T / |r|.
     Each step solves the bordered system [[H - (g.m) I, m], [m^T, 0]] [v; l] =
     [(g.m) m - g; 0] for the tangent Newton step v, then keeps the best of
     staying, (m + v)/|m + v| and g/|g|.  f is convex, so g/|g| never scores
     below m and no step loses value.  A start stops when staying wins or its
-    step is shorter than _STEP_TOL.  The loop ends once the leader, the start
-    that scores highest at its current point, has stopped, and after
+    step is shorter than _STEP_TOL.  A pair's polish ends once its leader, the
+    start that scores highest at its current point, has stopped, and after
     _MAX_STEPS steps at most; losing starts keep their partly climbed points.
+    A pair that has ended drops out of the stack, so no pair's result depends
+    on the others.
     """
-    t, s, mt = table[1:, 0], table[0, 1:], table[1:, 1:]
-    mmt, eye = mt @ mt.T, np.eye(4)
-    rows = np.arange(len(alice))
-    system = np.zeros((len(alice), 4, 4))
-    block = system[:, :3, :3]
-    rhs = np.zeros((len(alice), 4, 1))
-    cand = np.empty((len(alice), 3, 3))  # stay, Newton, ascent
-    scores = np.empty((len(alice), 3))
+    out = np.empty_like(alice)
+    pending = np.arange(len(table))  # the pairs still stepping, in stack order
+    rows, start = pending[:, None], np.arange(alice.shape[1])
+    t, s, mt = table[:, 1:, 0], table[:, 0, 1:], table[:, 1:, 1:]
+    mmt, eye = mt @ mt.transpose(0, 2, 1), np.eye(4)
     # At |r| <= kink the norm's gradient r/|r| is taken as 0 and H as 0.
-    kink = 1e-12 * np.abs(table).max()
-    live = np.ones(len(alice), dtype=bool)
+    kink = 1e-12 * np.abs(table).max(axis=(1, 2))
+    live = np.ones(alice.shape[:2], dtype=bool)
+    # Buffers for the whole stack; the pending pairs use their leading rows.
+    system = np.zeros(alice.shape[:2] + (4, 4))
+    block = system[..., :3, :3]
+    rhs = np.zeros(alice.shape[:2] + (4, 1))
+    cand = np.empty(alice.shape[:2] + (3, 3))  # stay, Newton, ascent
+    scores = np.empty(alice.shape[:2] + (3,))
     for _ in range(_MAX_STEPS):
-        u = alice @ table[1:]
-        c, r = table[0, 0] + u[:, 0], s - u[:, 1:]
-        norm_r = np.linalg.norm(r, axis=-1)
-        scores[:, 0] = np.abs(c) + norm_r  # _mixed_term at alice
-        smooth = norm_r > kink
+        u = alice @ table[:, 1:]
+        c, r = table[:, None, 0, 0] + u[..., 0], s[:, None] - u[..., 1:]
+        norm_r = _norms(r)
+        scores[..., 0] = np.abs(c) + norm_r  # _mixed_term at alice
+        smooth = norm_r > kink[:, None]
         inv_r = smooth / np.where(smooth, norm_r, 1.0)
-        q = (r * inv_r[:, None]) @ mt.T  # M r/|r|
-        g = np.sign(c)[:, None] * t - q
-        gm = (g * alice).sum(axis=1)
-        np.multiply(mmt - q[:, :, None] * q[:, None, :], inv_r[:, None, None], out=block)
-        block -= gm[:, None, None] * eye[:3, :3]
-        system[:, :3, 3] = system[:, 3, :3] = alice
-        rhs[:, :3, 0] = gm[:, None] * alice - g
+        q = (r * inv_r[..., None]) @ mt.transpose(0, 2, 1)  # M r/|r|
+        g = np.sign(c)[..., None] * t[:, None] - q
+        gm = (g * alice).sum(axis=-1)
+        np.multiply(
+            mmt[:, None] - q[..., :, None] * q[..., None, :], inv_r[..., None, None], out=block
+        )
+        block -= gm[..., None, None] * eye[:3, :3]
+        system[..., :3, 3] = system[..., 3, :3] = alice
+        rhs[..., :3, 0] = gm[..., None] * alice - g
         # A ridge of maxima, or no curvature at all, makes the system singular.
-        scale = np.abs(block).max(axis=(1, 2))
+        scale = np.abs(block).max(axis=(-2, -1))
         solvable = np.abs(np.linalg.det(system)) > _SINGULAR * scale * scale
-        step = np.linalg.solve(np.where(solvable[:, None, None], system, eye), rhs)
-        newton = alice + solvable[:, None] * step[:, :3, 0]
-        norm_g = np.linalg.norm(g, axis=1, keepdims=True)
-        cand[:, 0] = cand[:, 2] = alice
-        cand[:, 1] = newton / np.linalg.norm(newton, axis=1, keepdims=True)
-        np.divide(g, norm_g, out=cand[:, 2], where=norm_g > 0.0)
-        scores[:, 1:] = _mixed_term(table, cand[:, 1:])
-        k = scores.argmax(axis=1)  # staying wins ties
+        step = np.linalg.solve(np.where(solvable[..., None, None], system, eye), rhs)
+        newton = alice + solvable[..., None] * step[..., :3, 0]
+        norm_g = _norms(g, keepdims=True)
+        cand[..., 0, :] = cand[..., 2, :] = alice
+        cand[..., 1, :] = newton / _norms(newton, keepdims=True)
+        np.divide(g, norm_g, out=cand[..., 2, :], where=norm_g > 0.0)
+        scores[..., 1:] = _mixed_term(table[:, None], cand[..., 1:, :])
+        k = scores.argmax(axis=-1)  # staying wins ties
         moved = live & (k != 0)
-        best = cand[rows, k]
-        live = moved & (((best - alice) ** 2).sum(axis=1) >= _STEP_TOL**2)
-        alice = np.where(moved[:, None], best, alice)
-        # The leader scores highest at its new point; once it has stopped, so does the loop.
-        if not live[np.where(moved, scores[rows, k], scores[:, 0]).argmax()]:
-            break
-    return alice
+        best = cand[rows, start, k]
+        live = moved & (((best - alice) ** 2).sum(axis=-1) >= _STEP_TOL**2)
+        alice = np.where(moved[..., None], best, alice)
+        # Each pair's leader scores highest at its new point; once it has
+        # stopped, so has its pair.
+        now = np.where(moved, scores.max(axis=-1), scores[..., 0])
+        going = live[rows[:, 0], now.argmax(axis=-1)]
+        if not going.any():
+            out[pending] = alice
+            return out
+        if not going.all():
+            out[pending[~going]] = alice[~going]
+            pending, table, alice = pending[going], table[going], alice[going]
+            mmt, kink, live = mmt[going], kink[going], live[going]
+            n = len(pending)
+            rows, system, rhs, cand, scores = rows[:n], system[:n], rhs[:n], cand[:n], scores[:n]
+            block = system[..., :3, :3]
+            t, s, mt = table[:, 1:, 0], table[:, 0, 1:], table[:, 1:, 1:]
+    out[pending] = alice
+    return out
 
 
 def _best_product(table: np.ndarray, alice: np.ndarray):
-    """The best (Alice, Bob) directions, Bob's along r+, r-, r+ + r- or r+ - r-."""
-    u = alice @ table[1:]
-    sides = np.stack([table[0] + u, table[0] - u], axis=1) / 4.0
+    """Each pair's best (Alice, Bob) directions, Bob's along r+, r-, r+ + r- or
+    r+ - r-, for (B, 4, 4) tables and (B, n, 3) Alice candidates."""
+    u = alice @ table[:, 1:]
+    sides = np.stack([table[:, None, 0] + u, table[:, None, 0] - u], axis=2) / 4.0
     c, r = sides[..., 0], sides[..., 1:]
-    bob = np.stack([r[:, 0], r[:, 1], r[:, 0] + r[:, 1], r[:, 0] - r[:, 1]], axis=1)
-    norm = np.linalg.norm(bob, axis=-1, keepdims=True)
+    r0, r1 = r[:, :, 0], r[:, :, 1]
+    bob = np.stack([r0, r1, r0 + r1, r0 - r1], axis=2)
+    norm = _norms(bob, keepdims=True)
     # A zero candidate scores sum_s |c_s|, which every direction reaches.
     bob = np.where(norm > 0.0, bob / np.maximum(norm, 1e-300), (0.0, 0.0, 1.0))
-    dots = np.abs(np.einsum("isk,ijk->ijs", r, bob))
-    score = np.maximum(np.abs(c)[:, None, :], dots).sum(axis=-1)
-    i, j = np.unravel_index(np.argmax(score), score.shape)
-    return alice[i], bob[i, j]
+    dots = np.abs(np.einsum("bisk,bijk->bijs", r, bob))
+    score = np.maximum(np.abs(c)[:, :, None, :], dots).sum(axis=-1)
+    i, j = np.divmod(score.reshape(len(table), -1).argmax(axis=1), score.shape[2])
+    rows = np.arange(len(table))
+    return alice[rows, i], bob[rows, i, j]
 
 
 def _basis(direction: np.ndarray) -> np.ndarray:
-    """Qubit basis whose first vector has this Bloch direction."""
-    t = np.arccos(np.clip(direction[2], -1.0, 1.0))
-    p = np.arctan2(direction[1], direction[0])
-    v = np.array([np.cos(t / 2.0), np.exp(1j * p) * np.sin(t / 2.0)])
-    return np.array([v, perp2(v)])
+    """Qubit bases (..., 2, 2) whose first vectors have these (..., 3) Bloch directions."""
+    t = np.arccos(np.clip(direction[..., 2], -1.0, 1.0))
+    p = np.arctan2(direction[..., 1], direction[..., 0])
+    basis = np.empty(direction.shape[:-1] + (2, 2), dtype=complex)
+    basis[..., 0, 0] = np.cos(t / 2.0)
+    basis[..., 0, 1] = np.exp(1j * p) * np.sin(t / 2.0)
+    basis[..., 1, :] = perp2(basis[..., 0, :])
+    return basis
 
 
 def optimize_local_projective(
@@ -415,29 +457,65 @@ def optimize_local_projective(
     Outcomes go to the larger weighted probability (label 0 wins ties) and
     the value is re-evaluated at the winning measurement, so reruns agree
     bit for bit.  The measurement is returned as a FeedForwardProtocol whose
-    two Bob bases are equal, scored by ff_success_probability.
+    two Bob bases are equal, scored by ff_success_probability.  This is
+    optimize_pairs on a stack of one pair.
+    """
+    return optimize_pairs([(rho0, rho1)], priors, config)[0]
+
+
+def optimize_pairs(
+    pairs,
+    priors: PriorPair = EQUAL_PRIORS,
+    config: OptimizerConfig | None = None,
+) -> list[tuple[FeedForwardProtocol, float]]:
+    """optimize_local_projective for every (rho0, rho1) of pairs, searched together.
+
+    The pairs go through the search in stacks of up to 64: one einsum gives
+    their correlation tables, and the grid stage, the polish, the choice of
+    Bob's direction and the guesses each run once on a leading pair axis.
+    Every pair keeps its own stopping rule, so a pair's result is the one it
+    gets alone.  Only the FeedForwardProtocol and its score are made per pair.
     """
     _check_priors(priors)
     cfg = config or OptimizerConfig()
-    d = (priors.p0 * rho0.mat - priors.p1 * rho1.mat).reshape(2, 2, 2, 2)
-    table = np.einsum("mca,neb,abce->mn", PAULIS, PAULIS, d).real
+    pairs = list(pairs)
+    results = []
+    for lo in range(0, len(pairs), _BLOCK):
+        results += _optimize_block(pairs[lo : lo + _BLOCK], priors, cfg)
+    return results
+
+
+def _optimize_block(pairs: list, priors: PriorPair, cfg: OptimizerConfig) -> list:
+    """optimize_pairs on one stack of at most _BLOCK pairs."""
+    rhos = np.array([(rho0.mat, rho1.mat) for rho0, rho1 in pairs])
+    d = (priors.p0 * rhos[:, 0] - priors.p1 * rhos[:, 1]).reshape(-1, 2, 2, 2, 2)
+    table = np.einsum("mca,neb,zabce->zmn", PAULIS, PAULIS, d).real
 
     score = _mixed_term(table, _GRID)
-    a = table[1:, 0] / np.linalg.norm(table[1:, 0]) if table[1:, 0].any() else (0, 0, 1)
-    u = np.linalg.svd(table[1:, 1:])[0][:, 0]
-    starts = _GRID[np.argsort(-score, kind="stable")[: max(cfg.refine_starts, 1)]]
+    t = table[:, 1:, 0]
+    # |t| as a dot product, the way np.linalg.norm takes it for one vector.
+    norm_t = np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0]
+    a = np.where(norm_t > 0.0, t, (0.0, 0.0, 1.0)) / np.where(norm_t > 0.0, norm_t, 1.0)
+    u = np.linalg.svd(table[:, 1:, 1:])[0][..., 0]
+    order = np.argsort(-score, axis=-1, kind="stable")
+    starts = _GRID[order[:, : max(cfg.refine_starts, 1)]]
     if cfg.refine_starts:
         # The mixed term's |m^T T[1:,1:]| part peaks at +/-u: polish from there too.
-        starts = _polish(table, np.vstack([starts, u, -u]))
-    alice, bob = _best_product(table, np.vstack([starts, a, u]))
+        starts = _polish(table, np.concatenate([starts, u[:, None], -u[:, None]], axis=1))
+    alice, bob = _best_product(table, np.concatenate([starts, a[:, None], u[:, None]], axis=1))
 
-    ua, ub = _basis(alice), _basis(bob)
-    bobs = np.stack([ub, ub])
+    bases = _basis(np.stack([alice, bob], axis=1))
+    ua, bobs = bases[:, 0], bases[:, [1, 1]]
     kets = _product_kets(ua, bobs)
-    q0, q1 = (np.einsum("oj,jk,ok->o", kets.conj(), r.mat, kets).real for r in (rho0, rho1))
-    assignment = np.where(priors.p0 * q0 >= priors.p1 * q1, 0, 1).reshape(2, 2)
-    protocol = FeedForwardProtocol(alice_basis=ua, bob_bases=bobs, guess_map=assignment)
-    return protocol, ff_success_probability(protocol, rho0, rho1, priors)
+    q = np.einsum("boj,brjk,bok->bro", kets.conj(), rhos, kets).real
+    assignment = np.where(priors.p0 * q[:, 0] >= priors.p1 * q[:, 1], 0, 1).reshape(-1, 2, 2)
+    results = []
+    for (rho0, rho1), alice_basis, bob_bases, guess in zip(pairs, ua, bobs, assignment):
+        protocol = FeedForwardProtocol(
+            alice_basis=alice_basis, bob_bases=bob_bases, guess_map=guess
+        )
+        results.append((protocol, ff_success_probability(protocol, rho0, rho1, priors)))
+    return results
 
 
 def advantage(

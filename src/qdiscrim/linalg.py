@@ -68,10 +68,14 @@ def perp2(v: np.ndarray) -> np.ndarray:
     """The canonical unit vector orthogonal to a single-qubit unit vector.
 
     For v = (x, y) returns (-conj(y), conj(x)); together they form an
-    orthonormal basis of C^2.
+    orthonormal basis of C^2.  A (..., 2) stack of vectors gives the stack of
+    their complements.
     """
     v = np.asarray(v, dtype=complex)
-    return np.array([-np.conj(v[1]), np.conj(v[0])], dtype=complex)
+    w = np.empty_like(v)
+    w[..., 0] = -v[..., 1].conj()
+    w[..., 1] = v[..., 0].conj()
+    return w
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:

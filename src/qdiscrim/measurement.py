@@ -35,6 +35,10 @@ _TOMO_KETS = {
 
 POVM_COMPLETENESS_ATOL = 1e-9
 _ZERO_PROB = 1e-15
+# Largest n_total of sample_coincidences (and the CLI's n_events and
+# n_per_setting): numpy's multinomial takes counts up to 2**63 - 1 and its
+# Poisson draw means up to about 9.2e18.
+MAX_COUNT = 2**62
 
 
 TOMO_LABELS = tuple((a, b) for a in TOMO_BASIS_LABELS for b in TOMO_BASIS_LABELS)
@@ -105,7 +109,15 @@ class TomographyRecord:
 
     def __post_init__(self):
         counts = np.asarray(self.counts)
-        if counts.shape != (36,) or (counts < 0).any() or not (counts == counts.astype(int)).all():
+        # NaN, infinity and floats beyond int64 fail before the cast to int,
+        # which would warn on them.
+        castable = counts.dtype.kind != "f" or (np.abs(counts) < 2.0**63).all()
+        if (
+            counts.shape != (36,)
+            or not castable
+            or (counts < 0).any()
+            or not (counts == counts.astype(int)).all()
+        ):
             raise ValueError("counts must be 36 nonnegative integers")
         exposure = np.asarray(self.exposure, dtype=float)
         if exposure.shape != (36,) or (exposure <= 0).any() or not np.isfinite(exposure).all():
@@ -169,10 +181,15 @@ def sample_coincidences(
 
     Outcome probabilities are Tr(rho Pi) for the four POVM elements and
     n_total events are drawn in one multinomial sample; identical seeds
-    give identical counts.
+    give identical counts.  n_total must be an integer (not a bool) in
+    [1, MAX_COUNT]; anything else raises ValueError before any draw.
     """
-    if n_total <= 0:
-        raise ValueError(f"n_total must be positive, got {n_total}")
+    if (
+        isinstance(n_total, bool)
+        or not isinstance(n_total, (int, np.integer))
+        or not 1 <= n_total <= MAX_COUNT
+    ):
+        raise ValueError(f"n_total must be an integer in [1, 2**62], got {n_total!r}")
     mats = [np.asarray(mat, dtype=complex) for _, mat in povm]
     if len(mats) != 4:
         raise ValueError(f"expected 4 POVM elements, got {len(mats)}")
@@ -237,8 +254,9 @@ def simulate_tomography(
     ``exposure`` holds the 36 positive e_s in TOMO_LABELS order (default
     all 1) and is stored in the record.
     """
-    if n_per_setting <= 0:
-        raise ValueError(f"n_per_setting must be positive, got {n_per_setting}")
+    # NaN and infinity fail here too, before they reach the Poisson draw.
+    if not 0 < n_per_setting < np.inf:
+        raise ValueError(f"n_per_setting must be positive and finite, got {n_per_setting}")
     # An empty record checks the exposures before any draw.
     exposure = TomographyRecord.from_counts(np.zeros(36, dtype=int), exposure).exposure
     rng = np.random.default_rng(int(seed))

@@ -526,18 +526,39 @@ def test_curve_rows_cover_eta_grid(tmp_path, capsys):
 
 
 def test_grid_points_are_exact_decimals(monkeypatch):
+    # The angle pairs only: no state, optimiser or sampling runs for the 10201 rows.
     monkeypatch.setattr(
-        cli, "_pair_row", lambda t0, t1, cfg, row: {"theta0_deg": t0, "theta1_deg": t1}
+        cli, "_grid_rows",
+        lambda angles, cfg: [{"theta0_deg": a, "theta1_deg": b} for a, b in angles],
     )
     cfg = ExperimentConfig(experiment="grid", grid_step_deg=0.9, master_seed=1)
     rows = cli.run_grid(cfg)["rows"]
     values = [r["theta1_deg"] for r in rows[:101]]
     assert len(rows) == 101 * 101
+    assert [r["theta0_deg"] for r in rows[::101]] == values
     assert values[13] == 11.7 and values[26] == 23.4
     assert values == [float(f"{0.9 * i:.1f}") for i in range(101)]
 
 
 # ---------------------------------------------------------------- dependencies
+
+
+def test_parser_is_built_once_per_process_and_not_at_import(tmp_path, capsys):
+    src = str(Path(qdiscrim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import qdiscrim.cli as c; assert c._parser.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    cli._parser.cache_clear()
+    config = {"master_seed": 3, "n_events": 1000}
+    for experiment in ("pair", "optimize", "pair"):
+        assert run_cli(tmp_path, capsys, experiment, config)[0] == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    # Parse errors still exit 2 with argparse's message.
+    with pytest.raises(SystemExit) as exc:
+        main(["nonsense", "--config", write_config(tmp_path, config)])
+    assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
 
 
 def test_importing_the_package_does_not_import_scipy():

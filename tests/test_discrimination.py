@@ -18,6 +18,7 @@ from qdiscrim import (
     helstrom_bound,
     hollow_vector,
     optimize_local_projective,
+    optimize_pairs,
     phi0,
     phi1,
     psi_pair,
@@ -589,6 +590,93 @@ def test_optimizer_config_takes_integers_only():
     for bad in (2.5, 2.0, True, False, np.float64(2.0), "2", None):
         with pytest.raises(ValueError, match="refine_starts"):
             OptimizerConfig(refine_starts=bad)
+
+
+def _same_result(got, want) -> bool:
+    """Bit for bit, or within 1e-15 with the same guess map."""
+    (m1, v1), (m2, v2) = got, want
+    if v1 == v2 and all(
+        np.array_equal(getattr(m1, k), getattr(m2, k))
+        for k in ("alice_basis", "bob_bases", "guess_map")
+    ):
+        return True
+    return abs(v1 - v2) <= 1e-15 and np.array_equal(m1.guess_map, m2.guess_map)
+
+
+def test_optimize_pairs_agrees_with_single_calls_on_skewed_priors():
+    rng = np.random.default_rng(2301)
+    pairs = [(random_density(rng, 1 + i % 4), random_density(rng, 1 + (i // 4) % 4))
+             for i in range(200)]
+    for priors in (PriorPair(0.3, 0.7), PriorPair(0.85, 0.15)):
+        stacked = optimize_pairs(pairs, priors)
+        assert len(stacked) == len(pairs)
+        for pair, got in zip(pairs, stacked):
+            assert _same_result(got, optimize_local_projective(*pair, priors))
+            assert got[1] == ff_success_probability(got[0], *pair, priors)
+
+
+def test_optimize_pairs_result_does_not_depend_on_the_stack(monkeypatch):
+    # Degenerate pairs stop at once or sit on ridges; they share the stack with
+    # pairs that need several steps, and nobody's result may move.  The polished
+    # starts are compared too: a pair whose polish has ended keeps its losing
+    # starts where they were, however long the others go on.
+    rng = np.random.default_rng(2302)
+    targets = [(werner_noise(phi0(rng.uniform(0, 90)), 0.93),
+                werner_noise(phi1(rng.uniform(0, 90)), 0.93)) for _ in range(4)]
+    targets += [(random_density(rng, 2), random_density(rng, 3)) for _ in range(4)]
+    degenerate = [(r0, r1) for r0, r1, _ in DEGENERATE_PAIRS.values()]
+    stack = [p for pair in zip(targets, degenerate + degenerate[:1]) for p in pair]
+    polished = []
+    polish = discrimination._polish
+    monkeypatch.setattr(
+        discrimination, "_polish", lambda *args: polished.append(polish(*args)) or polished[-1]
+    )
+    alone = [optimize_local_projective(*pair) for pair in stack]
+    alone_starts = np.concatenate(polished)
+    polished.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = optimize_pairs(stack)
+        reversed_stack = optimize_pairs(stack[::-1])[::-1]
+    assert np.array_equal(polished[0], alone_starts)
+    assert np.array_equal(polished[1][::-1], alone_starts)
+    for single, got, got_reversed in zip(alone, stacked, reversed_stack):
+        for result in (got, got_reversed):
+            assert result[1] == single[1]
+            assert np.array_equal(result[0].alice_basis, single[0].alice_basis)
+            assert np.array_equal(result[0].bob_bases, single[0].bob_bases)
+            assert np.array_equal(result[0].guess_map, single[0].guess_map)
+    for (r0, r1, expected), (_, value) in zip(DEGENERATE_PAIRS.values(), stacked[1::2]):
+        if expected is not None:
+            assert abs(value - expected) < 1e-12
+
+
+def test_optimize_pairs_crosses_block_boundaries(monkeypatch):
+    rng = np.random.default_rng(2303)
+    pairs = [(random_density(rng, 2), random_density(rng, 4)) for _ in range(11)]
+    alone = [optimize_local_projective(*pair) for pair in pairs]
+    sizes = []
+    block = discrimination._optimize_block
+    monkeypatch.setattr(
+        discrimination, "_optimize_block", lambda p, *rest: sizes.append(len(p)) or block(p, *rest)
+    )
+    monkeypatch.setattr(discrimination, "_BLOCK", 4)
+    stacked = optimize_pairs(iter(pairs))
+    assert sizes == [4, 4, 3]
+    assert all(_same_result(got, want) for got, want in zip(stacked, alone, strict=True))
+    assert optimize_pairs([]) == []
+
+
+def test_optimize_pairs_without_polish():
+    rng = np.random.default_rng(2304)
+    pairs = [(random_density(rng, 1 + i % 4), random_density(rng, 1 + i % 3)) for i in range(20)]
+    grid_only = OptimizerConfig(refine_starts=0)
+    coarse = optimize_pairs(pairs, PriorPair(0.4, 0.6), grid_only)
+    polished = optimize_pairs(pairs, PriorPair(0.4, 0.6))
+    for pair, got, better in zip(pairs, coarse, polished):
+        assert _same_result(got, optimize_local_projective(*pair, PriorPair(0.4, 0.6), grid_only))
+        assert better[1] >= got[1] - 1e-15
+    assert sum(b[1] > c[1] + 1e-9 for b, c in zip(polished, coarse)) >= 5
 
 
 # ---------------------------------------------------------------- advantage

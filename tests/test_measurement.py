@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,31 @@ def test_sample_coincidences_stable_under_rounding_of_zero_probabilities():
         u = (vecs * np.exp(-1e-16j * lam)) @ vecs.conj().T
         moved = [(label, u @ mat @ u.conj().T) for label, mat in povm]
         assert sample_coincidences(rho, moved, 10**6, seed=5) == base
+
+
+@pytest.mark.parametrize(
+    "n_total",
+    [1.9, 1.0, np.float64(10.0), True, False, float("inf"), float("nan"), 0, -5, 2**62 + 1,
+     "10", None],
+)
+def test_sample_coincidences_takes_integer_counts_only(n_total, monkeypatch):
+    # 1.9 used to draw 1 event, True 1 event, and infinity ended in OverflowError.
+    povm = protocol_to_povm(walgate_decompose(phi0(30.0), phi1(60.0)))
+    rho = werner_noise(phi0(30.0), 0.9)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the count was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(ValueError, match="n_total"):
+        sample_coincidences(rho, povm, n_total, seed=1)
+
+
+def test_sample_coincidences_accepts_integers_up_to_max_count():
+    povm = protocol_to_povm(walgate_decompose(phi0(30.0), phi1(60.0)))
+    rho = werner_noise(phi0(30.0), 0.9)
+    for n_total in (1, np.int64(7), np.uint8(3), 2**62):
+        assert sample_coincidences(rho, povm, n_total, seed=1).total == n_total
 
 
 def test_sample_coincidences_mixed_state_bins_within_5_sigma():
@@ -229,3 +256,26 @@ def test_tomography_record_validation_and_serialisation():
         TomographyRecord.from_counts(np.zeros(35, dtype=int))
     with pytest.raises(ValueError):
         TomographyRecord.from_counts(np.zeros(36, dtype=int), exposure=np.zeros(36))
+
+
+def test_non_finite_tomography_inputs_raise_value_error():
+    # NaN used to fail inside numpy's Poisson draw ("lam value too large"), and
+    # infinite counts warned in the cast to int before the ValueError; the
+    # warnings filter makes any such warning fail this test.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (float("nan"), float("inf"), -float("inf"), 0, -1.0):
+            with pytest.raises(ValueError, match="n_per_setting"):
+                simulate_tomography(MIXED, bad, seed=1)
+        for value in (np.inf, -np.inf, np.nan, 1e300, 2.0**63, 2.5):
+            counts = np.full(36, 10.0)
+            counts[7] = value
+            with pytest.raises(ValueError, match="counts"):
+                TomographyRecord.from_counts(counts)
+        with pytest.raises(ValueError, match="counts"):
+            TomographyRecord.from_counts(np.full(36, np.inf))
+        # Whole floats, booleans and the largest counts a record can hold still pass.
+        assert TomographyRecord.from_counts(np.full(36, 3.0)).counts.tolist() == [3] * 36
+        assert TomographyRecord.from_counts(np.ones(36, dtype=bool)).counts.tolist() == [1] * 36
+        big = TomographyRecord.from_counts(np.full(36, 2**63 - 1))
+        assert big.counts.tolist() == [2**63 - 1] * 36
