@@ -44,12 +44,15 @@ from .discrimination import (
     optimize_local_projective,
     optimize_pairs,
     walgate_decompose,
+    walgate_pairs,
 )
 from .measurement import (
     COINCIDENCE_LABELS,
     CoincidenceCounts,
     DiscriminationEstimate,
     TomographyRecord,
+    coincidence_probabilities,
+    draw_coincidences,
     estimate,
     protocol_to_povm,
     sample_coincidences,
@@ -90,6 +93,8 @@ __all__ = [
     "TomographyRecord",
     "advantage",
     "canonical_protocol",
+    "coincidence_probabilities",
+    "draw_coincidences",
     "estimate",
     "ff_success_probability",
     "fidelity_pure",
@@ -113,5 +118,6 @@ __all__ = [
     "u_perp_state",
     "u_state",
     "walgate_decompose",
+    "walgate_pairs",
     "werner_noise",
 ]

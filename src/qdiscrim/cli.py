@@ -36,18 +36,17 @@ from . import __version__
 from .discrimination import (
     EQUAL_PRIORS,
     canonical_protocol,
-    ff_success_probability,
     helstrom_bound,
     optimize_local_projective,
     optimize_pairs,
-    walgate_decompose,
+    walgate_pairs,
 )
 from .errors import DiscriminationError
 from .measurement import (
     MAX_COUNT,
+    coincidence_probabilities,
+    draw_coincidences,
     estimate,
-    protocol_to_povm,
-    sample_coincidences,
     simulate_tomography,
 )
 from .states import (
@@ -232,19 +231,33 @@ def _decimal_range(lo: float, hi: float, step: float) -> list[float]:
     return [float(min(lo_d + i * step_d, hi_d)) for i in range(count + 1)]
 
 
-def _sample(protocol, rho0, rho1, cfg: ExperimentConfig, row_index: int) -> dict:
-    """Coincidence counts of both preparations under the protocol, their
-    success estimate and the row's two sampling seeds."""
-    povm = protocol_to_povm(protocol)
-    seed0, seed1 = _row_seeds(cfg.master_seed, row_index)
-    counts0 = sample_coincidences(rho0, povm, cfg.n_events, seed0)
-    counts1 = sample_coincidences(rho1, povm, cfg.n_events, seed1)
-    return {
-        "counts0": counts0.to_json(),
-        "counts1": counts1.to_json(),
-        "estimate": estimate(counts0, counts1).to_json(),
-        "seeds": {"state0": seed0, "state1": seed1},
-    }
+def _score_rows(probs: np.ndarray, cfg: ExperimentConfig):
+    """Exact successes and sampled counts of every row, on a leading row axis.
+
+    probs[row, k, r] holds the four outcome probabilities of the row's
+    protocol for state r of the row's k-th state pair.  Returns the
+    (rows, pairs) array of equal-prior successes and, per row, the counts
+    drawn for its last pair with the row's seeds, their estimate and the seeds.
+    """
+    # The label each outcome guesses under the T_b convention that
+    # coincidence_probabilities checks: T_b (TaTb, RaTb) guesses 0, R_b 1.
+    # Each outcome's probability under the state its label names, weighted by
+    # that label's prior, sums to the success, as ff_success_probability sums it.
+    guesses = np.array([0, 1, 0, 1])
+    weights = np.array([EQUAL_PRIORS.p0, EQUAL_PRIORS.p1])[guesses]
+    success = probs[..., guesses, np.arange(4)] @ weights
+    sampled = []
+    for row, pair in enumerate(probs[:, -1]):
+        seed0, seed1 = _row_seeds(cfg.master_seed, row)
+        counts0 = draw_coincidences(pair[0], cfg.n_events, seed0)
+        counts1 = draw_coincidences(pair[1], cfg.n_events, seed1)
+        sampled.append({
+            "counts0": counts0.to_json(),
+            "counts1": counts1.to_json(),
+            "estimate": estimate(counts0, counts1).to_json(),
+            "seeds": {"state0": seed0, "state1": seed1},
+        })
+    return success, sampled
 
 
 def _phi_states(theta0: float, theta1: float, cfg: ExperimentConfig) -> tuple:
@@ -253,29 +266,35 @@ def _phi_states(theta0: float, theta1: float, cfg: ExperimentConfig) -> tuple:
     return ideal0, ideal1, werner_noise(ideal0, cfg.noise_v), werner_noise(ideal1, cfg.noise_v)
 
 
-def _pair_row(
-    theta0: float, theta1: float, states: tuple, no_ff: float, cfg: ExperimentConfig, row_index: int
-) -> dict:
-    ideal0, ideal1, rho0, rho1 = states
-    protocol = walgate_decompose(ideal0, ideal1)
-    ff_exact = ff_success_probability(protocol, rho0, rho1, EQUAL_PRIORS)
-    return {
-        "row_index": row_index,
-        "theta0_deg": theta0,
-        "theta1_deg": theta1,
-        "ff_exact": ff_exact,
-        "helstrom": helstrom_bound(rho0, rho1, EQUAL_PRIORS),
-        "no_ff_best": no_ff,
-        "advantage": ff_exact - no_ff,
-        **_sample(protocol, rho0, rho1, cfg, row_index),
-    }
+def _pair_rows(angles: list, states: list, no_ff: list, cfg: ExperimentConfig) -> list[dict]:
+    """The rows of the (theta0, theta1) pairs: the Walgate protocols of the
+    ideal pairs, built together, scored and sampled on the noisy pairs."""
+    protocols = walgate_pairs([s[:2] for s in states])
+    probs = coincidence_probabilities(protocols, [s[2:] for s in states])
+    success, sampled = _score_rows(probs[:, None], cfg)
+    return [
+        {
+            "row_index": row,
+            "theta0_deg": t0,
+            "theta1_deg": t1,
+            "ff_exact": float(ff),
+            "helstrom": helstrom_bound(s[2], s[3], EQUAL_PRIORS),
+            "no_ff_best": best,
+            "advantage": float(ff) - best,
+            **drawn,
+        }
+        for row, ((t0, t1), s, best, (ff,), drawn) in enumerate(
+            zip(angles, states, no_ff, success, sampled)
+        )
+    ]
 
 
 def run_pair(cfg: ExperimentConfig) -> dict:
     """Full comparison for a single orthogonal-family pair."""
     states = _phi_states(cfg.theta0_deg, cfg.theta1_deg, cfg)
     _, no_ff = optimize_local_projective(*states[2:], EQUAL_PRIORS)
-    return {"pair": _pair_row(cfg.theta0_deg, cfg.theta1_deg, states, no_ff, cfg, row_index=0)}
+    angles = [(cfg.theta0_deg, cfg.theta1_deg)]
+    return {"pair": _pair_rows(angles, [states], [no_ff], cfg)[0]}
 
 
 def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
@@ -283,10 +302,7 @@ def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
     searches every row's best no-feed-forward measurement."""
     states = [_phi_states(t0, t1, cfg) for t0, t1 in angles]
     best = optimize_pairs([s[2:] for s in states], EQUAL_PRIORS)
-    return [
-        _pair_row(t0, t1, s, no_ff, cfg, row)
-        for row, ((t0, t1), s, (_, no_ff)) in enumerate(zip(angles, states, best))
-    ]
+    return _pair_rows(angles, states, [value for _, value in best], cfg)
 
 
 def run_grid(cfg: ExperimentConfig) -> dict:
@@ -295,34 +311,14 @@ def run_grid(cfg: ExperimentConfig) -> dict:
     return {"rows": _grid_rows([(t0, t1) for t0 in values for t1 in values], cfg)}
 
 
-def _curve_row(
-    eta: float, states: tuple, no_ff_ideal: float, no_ff_noisy: float, cfg: ExperimentConfig,
-    row_index: int,
-) -> dict:
-    rho0_ideal, rho1_ideal, rho0, rho1 = states
-    protocol = canonical_protocol()
-    sampled = _sample(protocol, rho0, rho1, cfg, row_index)
-    return {
-        "row_index": row_index,
-        "eta_deg": eta,
-        "helstrom_ideal": helstrom_bound(rho0_ideal, rho1_ideal, EQUAL_PRIORS),
-        "helstrom_noisy": helstrom_bound(rho0, rho1, EQUAL_PRIORS),
-        "ff_ideal": ff_success_probability(protocol, rho0_ideal, rho1_ideal, EQUAL_PRIORS),
-        "ff_noisy": ff_success_probability(protocol, rho0, rho1, EQUAL_PRIORS),
-        "no_ff_ideal": no_ff_ideal,
-        "no_ff_noisy": no_ff_noisy,
-        "estimate": sampled["estimate"],
-        "seeds": sampled["seeds"],
-    }
-
-
 def run_curve(cfg: ExperimentConfig) -> dict:
     """Sweep the non-orthogonal pair over the overlap angle eta.
 
     Exact columns cover the fixed-protocol (feed-forward) success and the
     best no-feed-forward measurement, for ideal and noisy preparations;
     sampled estimates use the configured event budget.  One optimize_pairs
-    call searches every row's ideal and noisy pair.
+    call searches every row's ideal and noisy pair, and the fixed protocol
+    is built once and scores every row's pairs together.
     """
     etas = _decimal_range(cfg.eta_min_deg, cfg.eta_max_deg, cfg.eta_step_deg)
     states = []
@@ -332,8 +328,24 @@ def run_curve(cfg: ExperimentConfig) -> dict:
                        werner_noise(ideal0, cfg.noise_v), werner_noise(ideal1, cfg.noise_v)))
     pairs = [pair for s in states for pair in (s[:2], s[2:])]
     best = [value for _, value in optimize_pairs(pairs, EQUAL_PRIORS)]
-    rows = zip(etas, states, best[0::2], best[1::2])
-    return {"rows": [_curve_row(*row, cfg, i) for i, row in enumerate(rows)]}
+    # The one fixed protocol, built once, for all of the rows' states.
+    probs = coincidence_probabilities([canonical_protocol()], [[r for s in states for r in s]])
+    success, sampled = _score_rows(probs.reshape(len(etas), 2, 2, 4), cfg)
+    rows = []
+    for row, (eta, s, (ff_ideal, ff_noisy), drawn) in enumerate(zip(etas, states, success, sampled)):
+        rows.append({
+            "row_index": row,
+            "eta_deg": eta,
+            "helstrom_ideal": helstrom_bound(s[0], s[1], EQUAL_PRIORS),
+            "helstrom_noisy": helstrom_bound(s[2], s[3], EQUAL_PRIORS),
+            "ff_ideal": float(ff_ideal),
+            "ff_noisy": float(ff_noisy),
+            "no_ff_ideal": best[2 * row],
+            "no_ff_noisy": best[2 * row + 1],
+            "estimate": drawn["estimate"],
+            "seeds": drawn["seeds"],
+        })
+    return {"rows": rows}
 
 
 def _tomo_target(cfg: ExperimentConfig) -> PureState2Q:

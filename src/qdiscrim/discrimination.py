@@ -26,7 +26,7 @@ from .errors import (
     NotOrthogonalError,
     NotTracelessError,
 )
-from .linalg import ID2, KET_H, KET_V, PAULIS, PAULI_Z, dagger, kron, perp2, projector, read_only
+from .linalg import ID2, KET_H, KET_V, PAULIS, PAULI_Z, kron, perp2, projector, read_only
 from .states import DensityMatrix2Q, PureState2Q, u_perp_state, u_state
 
 ORTHOGONALITY_ATOL = 1e-9
@@ -116,6 +116,13 @@ class OptimizerConfig:
             raise ValueError(f"refine_starts must be a nonnegative integer, got {n!r}")
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.cross of two (..., 3) stacks, bit for bit, without its argument
+    handling: component k is u[k+1] v[k+2] - u[k+2] v[k+1], indices mod 3."""
+    uu, vv = np.concatenate((u, u), axis=-1), np.concatenate((v, v), axis=-1)
+    return uu[..., 1:4] * vv[..., 2:5] - uu[..., 2:5] * vv[..., 1:4]
+
+
 def hollow_vector(m: np.ndarray) -> np.ndarray:
     """A unit vector w with <w|m|w> = 0 for a traceless 2x2 matrix m.
 
@@ -131,37 +138,79 @@ def hollow_vector(m: np.ndarray) -> np.ndarray:
 
     Raises NotTracelessError when |tr m| > 1e-10, and ConvergenceFailure
     when the residual exceeds 1e-12 of max(1, max |m_ij|) (a postcondition,
-    not observed for valid input).
+    not observed for valid input).  This is _hollow_vectors on a stack of one.
     """
     m = np.asarray(m, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    return _hollow_vectors(m[None])[0]
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x . y over the last axis of real (..., k) stacks, as a (..., 1) stack,
+    bit for bit as np.dot takes it for one pair of vectors."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0]
+
+
+def _complex_norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm over the last axis of a complex (..., k) stack, kept as a
+    (..., 1) stack, bit for bit as it is taken for one vector."""
+    return np.sqrt(_dot(x.real, x.real) + _dot(x.imag, x.imag))
+
+
+def _hollow_vectors(m: np.ndarray) -> np.ndarray:
+    """hollow_vector of every matrix of a (B, 2, 2) stack, as a (B, 2) stack.
+
+    Every guard holds matrix by matrix; the first matrix that fails one
+    raises.  The rare branches (m = 0, a parallel to b) touch only their rows.
+    """
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    if abs(m.trace()) > 1e-10:
-        raise NotTracelessError(f"|trace| = {abs(m.trace()):.3e} exceeds 1e-10")
-    m = m - (m.trace() / 2.0) * ID2
+    trace = m[:, 0, 0] + m[:, 1, 1]
+    traceful = np.abs(trace) > 1e-10
+    if traceful.any():
+        raise NotTracelessError(f"|trace| = {abs(trace[traceful.argmax()]):.3e} exceeds 1e-10")
+    m = m - (trace / 2.0)[:, None, None] * ID2
 
     # m = z.sigma with a, b = Re z, Im z, swapped when Re z = 0 so that a is
     # zero only when m is.
-    z = np.array([m[0, 1] + m[1, 0], 1j * (m[0, 1] - m[1, 0]), m[0, 0] - m[1, 1]]) / 2.0
-    a, b = (z.real, z.imag) if z.real.any() else (z.imag, z.real)
-    n = np.array([0.0, 0.0, 1.0])
-    if a.any():
-        u = a / np.linalg.norm(a)
-        # a x b / |a|, with b's part along a taken out first: the direction then
-        # stays exact to rounding however nearly parallel a and b are.
-        n = np.cross(u, b - (b @ u) * u)
-        if not n.any():  # b is 0 or parallel to a
-            n = np.cross(u, np.eye(3)[np.argmin(np.abs(u))])
-        n = np.copysign(1.0, n[2]) * n / np.linalg.norm(n)
+    z = np.empty((len(m), 3), dtype=complex)
+    z[:, 0] = m[:, 0, 1] + m[:, 1, 0]
+    z[:, 1] = 1j * (m[:, 0, 1] - m[:, 1, 0])
+    z[:, 2] = m[:, 0, 0] - m[:, 1, 1]
+    z /= 2.0
+    a, b = z.real, z.imag
+    zero = None
+    swap = ~a.any(axis=1)
+    if swap.any():
+        a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
+        zero = ~a.any(axis=1)  # m = 0
+    norm_a = np.sqrt(_dot(a, a))
+    if zero is not None:
+        norm_a[zero] = 1.0
+    u = a / norm_a
+    # a x b / |a|, with b's part along a taken out first: the direction then
+    # stays exact to rounding however nearly parallel a and b are.
+    n = _cross(u, b - _dot(b, u) * u)
+    flat = ~n.any(axis=1)  # b is 0 or parallel to a, or m = 0
+    if flat.any():
+        n[flat] = _cross(u[flat], np.eye(3)[np.argmin(np.abs(u[flat]), axis=1)])
+        if zero is not None:
+            n[zero] = (0.0, 0.0, 1.0)
+    # n_z >= 0; dividing by -|n| flips the sign exactly.
+    n /= np.copysign(np.sqrt(_dot(n, n)), n[:, 2:])
     # The ket of n; with n_z >= 0 no component cancels.
-    w = np.array([1.0 + n[2], n[0] + 1j * n[1]])
-    w = w / np.linalg.norm(w)
+    w = np.zeros((len(m), 2), dtype=complex)
+    w.real[:, 0] = 1.0 + n[:, 2]
+    w.real[:, 1], w.imag[:, 1] = n[:, 0], n[:, 1]
+    w /= _complex_norm(w)
 
-    residual = abs(np.vdot(w, m @ w))
-    if not residual <= HOLLOW_RESIDUAL * max(1.0, float(np.abs(m).max())):
-        raise ConvergenceFailure(f"hollow-vector residual {residual:.3e} exceeds tolerance")
+    residual = np.abs((w.conj()[:, None, :] @ m @ w[:, :, None])[:, 0, 0])
+    limit = HOLLOW_RESIDUAL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    failed = ~(residual <= limit)
+    if failed.any():
+        k = failed.argmax()
+        raise ConvergenceFailure(f"hollow-vector residual {residual[k]:.3e} exceeds tolerance")
     return w
 
 
@@ -176,36 +225,59 @@ def walgate_decompose(phi: PureState2Q, psi: PureState2Q) -> FeedForwardProtocol
     When one conditional has negligible norm (the Alice outcome never
     occurs for that state) Bob's basis is anchored on the surviving
     conditional; when both vanish the branch never fires and the
-    computational basis is used.
+    computational basis is used.  This is walgate_pairs on one pair.
     """
-    overlap = phi.overlap(psi)
-    if abs(overlap) >= ORTHOGONALITY_ATOL:
-        raise NotOrthogonalError(f"|<phi|psi>| = {abs(overlap):.3e} exceeds 1e-9")
-    f = phi.vec.reshape(2, 2)
-    g = psi.vec.reshape(2, 2)
-    m = f @ dagger(g)
+    return walgate_pairs([(phi, psi)])[0]
+
+
+def walgate_pairs(pairs) -> list[FeedForwardProtocol]:
+    """walgate_decompose for every (phi, psi) of pairs, built together.
+
+    The orthogonality gate, the hollow vectors, Bob's conditional states and
+    the choice of his bases each run once on a leading pair axis; every guard
+    still holds pair by pair, and the first pair that fails one raises.  No
+    step mixes pairs, so a pair's protocol is the one it gets alone.  Only
+    the FeedForwardProtocol, with its Gram check, is made per pair.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return []
+    vecs = np.array([(phi.vec, psi.vec) for phi, psi in pairs]).reshape(-1, 2, 2, 2)
+    f, g = vecs[:, 0], vecs[:, 1]
+    overlap = np.abs((f.conj() * g).sum(axis=(1, 2)))
+    close = overlap >= ORTHOGONALITY_ATOL
+    if close.any():
+        raise NotOrthogonalError(f"|<phi|psi>| = {overlap[close.argmax()]:.3e} exceeds 1e-9")
+    m = f @ g.conj().transpose(0, 2, 1)
     # tr m = <psi|phi>; remove the rounding-level trace so the hollow-vector
     # precondition holds for any pair passing the orthogonality gate.
-    m = m - (m.trace() / 2.0) * ID2
+    m = m - ((m[:, 0, 0] + m[:, 1, 1]) / 2.0)[:, None, None] * ID2
 
-    w = hollow_vector(m)
-    alice = np.array([w, perp2(w)])
-    bob = np.zeros((2, 2, 2), dtype=complex)
-    for i in range(2):
-        cond_phi = f.T @ alice[i].conj()
-        cond_psi = g.T @ alice[i].conj()
-        n_phi = float(np.linalg.norm(cond_phi))
-        n_psi = float(np.linalg.norm(cond_psi))
-        if n_phi < _DEGENERATE_NORM and n_psi < _DEGENERATE_NORM:
-            bob[i, 0], bob[i, 1] = KET_H, KET_V
-        elif n_phi >= n_psi:
-            bob[i, 0] = cond_phi / n_phi
-            bob[i, 1] = perp2(bob[i, 0])
-        else:
-            bob[i, 1] = cond_psi / n_psi
-            bob[i, 0] = perp2(bob[i, 1])
+    w = _hollow_vectors(m)
+    alice = np.empty((len(w), 2, 2), dtype=complex)
+    alice[:, 0], alice[:, 1] = w, perp2(w)
+    # cond[b, s, i] is Bob's conditional state, unnormalised, of phi (s = 0)
+    # or psi (s = 1) after Alice's outcome i.
+    cond = alice.conj()[:, None, :, None, :] @ vecs[:, :, None]
+    norm = _complex_norm(cond)[..., 0, :]
+    cond = cond[..., 0, :]
+    n_phi, n_psi = norm[:, 0], norm[:, 1]
+    dead = (n_phi < _DEGENERATE_NORM) & (n_psi < _DEGENERATE_NORM)
+    # Bob's basis follows the larger conditional, phi's on a tie.
+    on_phi = n_phi >= n_psi
+    scale = np.maximum(n_phi, n_psi)
+    scale[dead] = 1.0
+    anchor = np.where(on_phi, cond[:, 0], cond[:, 1]) / scale
+    other = perp2(anchor)
+    bob = np.empty((len(w), 2, 2, 2), dtype=complex)
+    bob[:, :, 0] = np.where(on_phi, anchor, other)
+    bob[:, :, 1] = np.where(on_phi, other, anchor)
+    bob[dead[..., 0]] = ID2  # a branch that never fires: H/V
     guess = np.array([[0, 1], [0, 1]])
-    return FeedForwardProtocol(alice_basis=alice, bob_bases=bob, guess_map=guess)
+    return [
+        FeedForwardProtocol(alice_basis=a, bob_bases=b, guess_map=guess)
+        for a, b in zip(alice, bob)
+    ]
 
 
 def canonical_protocol() -> FeedForwardProtocol:

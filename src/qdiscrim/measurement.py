@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discrimination import FeedForwardProtocol
+from .discrimination import FeedForwardProtocol, _product_kets
 from .errors import EmptyCountsError, IncompletePOVMError, InvalidProtocolError
 from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, kron, projector, read_only
 from .states import DensityMatrix2Q
@@ -140,6 +140,18 @@ class TomographyRecord:
         }
 
 
+def _require_t_b(protocol: FeedForwardProtocol) -> None:
+    """Raise unless the protocol follows the T_b convention that ``estimate`` reads."""
+    if not isinstance(protocol, FeedForwardProtocol):
+        raise TypeError("expected a FeedForwardProtocol")
+    if protocol.guess_map.tolist() != [[0, 1], [0, 1]]:
+        raise InvalidProtocolError(
+            f"guess_map {protocol.guess_map.tolist()} does not follow the T_b convention: "
+            "Bob's outcome 0 (T_b) must guess label 0 and outcome 1 (R_b) label 1 "
+            "in both branches"
+        )
+
+
 def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarray]]:
     """The four labelled coincidence projectors of a feed-forward protocol.
 
@@ -149,26 +161,44 @@ def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarra
     so a protocol whose guess_map is not [[0, 1], [0, 1]] raises
     InvalidProtocolError.
     """
-    if not isinstance(protocol, FeedForwardProtocol):
-        raise TypeError("expected a FeedForwardProtocol")
-    if protocol.guess_map.tolist() != [[0, 1], [0, 1]]:
-        raise InvalidProtocolError(
-            f"guess_map {protocol.guess_map.tolist()} does not follow the T_b convention: "
-            "Bob's outcome 0 (T_b) must guess label 0 and outcome 1 (R_b) label 1 "
-            "in both branches"
-        )
+    _require_t_b(protocol)
     elements = []
     for label, (i, j) in zip(COINCIDENCE_LABELS, ((0, 0), (0, 1), (1, 0), (1, 1))):
         elements.append((label, protocol.projector(i, j)))
-    _require_complete([mat for _, mat in elements])
+    _require_complete(np.sum([mat for _, mat in elements], axis=0))
     return elements
 
 
-def _require_complete(elements) -> None:
-    total = np.sum(elements, axis=0)
+def _require_complete(total: np.ndarray) -> None:
+    """Raise unless every summed POVM in total is the identity within the tolerance."""
     dev = np.abs(total - ID4).max()
     if dev > POVM_COMPLETENESS_ATOL:
         raise IncompletePOVMError(f"POVM elements sum deviates from identity by {dev:.3e}")
+
+
+def coincidence_probabilities(protocols, rhos) -> np.ndarray:
+    """Outcome probabilities of every protocol for its states, without POVM matrices.
+
+    protocols holds B protocols and rhos, for each of them, the same number R
+    of DensityMatrix2Q.  Entry [b, r, o] of the (B, R, 4) result is
+    Tr(rho_br Pi_o) for outcome o of protocol b, in COINCIDENCE_LABELS order.
+    Each Pi_o is the projector on a product ket k_o = alice_i (x) bob_ij, so
+    Tr(rho Pi_o) = <k_o|rho|k_o>: one stacked product of the kets with the
+    states gives them all.  protocol_to_povm's guards hold for each protocol: a guess map other
+    than [[0, 1], [0, 1]] raises InvalidProtocolError, and kets whose
+    projectors do not sum to the identity within POVM_COMPLETENESS_ATOL raise
+    IncompletePOVMError.
+    """
+    protocols = list(protocols)
+    for protocol in protocols:
+        _require_t_b(protocol)
+    kets = _product_kets(
+        np.array([p.alice_basis for p in protocols]), np.array([p.bob_bases for p in protocols])
+    )
+    # sum_o |k_o><k_o| = K^T conj(K) for the kets K stacked as rows.
+    _require_complete(kets.transpose(0, 2, 1) @ kets.conj())
+    mats = np.array([[rho.mat for rho in row] for row in rhos])
+    return ((kets.conj()[:, None] @ mats) * kets[:, None]).sum(axis=-1).real
 
 
 def sample_coincidences(
@@ -179,10 +209,28 @@ def sample_coincidences(
 ) -> CoincidenceCounts:
     """Multinomial coincidence counts for one prepared state.
 
-    Outcome probabilities are Tr(rho Pi) for the four POVM elements and
-    n_total events are drawn in one multinomial sample; identical seeds
-    give identical counts.  n_total must be an integer (not a bool) in
+    Outcome probabilities are Tr(rho Pi) for the four POVM elements, and
+    draw_coincidences draws the counts from them; identical seeds give
+    identical counts.  n_total must be an integer (not a bool) in
     [1, MAX_COUNT]; anything else raises ValueError before any draw.
+    """
+    mats = [np.asarray(mat, dtype=complex) for _, mat in povm]
+    if len(mats) != 4:
+        raise ValueError(f"expected 4 POVM elements, got {len(mats)}")
+    _require_complete(np.sum(mats, axis=0))
+    probs = np.array([float(np.trace(rho.mat @ mat).real) for mat in mats])
+    return draw_coincidences(probs, n_total, seed)
+
+
+def draw_coincidences(probs, n_total: int, seed: int) -> CoincidenceCounts:
+    """n_total coincidence events drawn from four outcome probabilities.
+
+    One multinomial sample from numpy's default generator seeded with seed,
+    so identical seeds give identical counts.  Probabilities at or below
+    1e-15 count as exactly 0 and the rest are normalised to sum 1.  n_total
+    must be an integer (not a bool) in [1, MAX_COUNT], and probs four finite
+    numbers with a positive sum; anything else raises ValueError before any
+    draw.
     """
     if (
         isinstance(n_total, bool)
@@ -190,18 +238,18 @@ def sample_coincidences(
         or not 1 <= n_total <= MAX_COUNT
     ):
         raise ValueError(f"n_total must be an integer in [1, 2**62], got {n_total!r}")
-    mats = [np.asarray(mat, dtype=complex) for _, mat in povm]
-    if len(mats) != 4:
-        raise ValueError(f"expected 4 POVM elements, got {len(mats)}")
-    _require_complete(mats)
-    probs = np.array([float(np.trace(rho.mat @ mat).real) for mat in mats])
+    probs = np.array(probs, dtype=float)
+    if probs.shape != (4,) or not np.isfinite(probs).all():
+        raise ValueError(f"expected 4 finite outcome probabilities, got {probs.tolist()}")
     # An exactly zero probability comes out as rounding noise of either sign;
     # snap it to 0, since the multinomial draw uses the stream differently for
     # 0 than for 1e-19 and the counts would follow the last bits of the basis.
     probs[probs <= _ZERO_PROB] = 0.0
-    probs = probs / probs.sum()
+    total = probs.sum()
+    if not total > 0.0:
+        raise ValueError(f"outcome probabilities {probs.tolist()} have no positive entry")
     rng = np.random.default_rng(int(seed))
-    counts = rng.multinomial(int(n_total), probs)
+    counts = rng.multinomial(int(n_total), probs / total)
     return CoincidenceCounts(*counts.tolist())
 
 

@@ -35,7 +35,11 @@ one 4x4 eigenvalue problem per iterate.  The solver stops as soon as the
 gap is within gap_tolerance.  It also stops when the gap has not fallen for
 20 steps (below the rounding floor), when the Newton system is singular or
 when the line search finds no increase; it then returns the iterate of
-smallest gap.  The gap is reported either way.
+smallest gap.  The gap is reported either way.  The result counts as
+converged when that gap is within max(gap_tolerance, N eps), eps the float64
+machine epsilon: the gap is a difference of two numbers of size N, so a
+solver that stops short of gap_tolerance but within N eps has met it to
+rounding.
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ class MLEConfig:
     """Settings of the maximum-likelihood solver.
 
     ``gap_tolerance`` is in log-likelihood units: the solver stops once the
-    certified distance to the maximum is at most this.
+    certified distance to the maximum is at most this.  A record of N counts
+    whose solver stops early, with a gap of at most N eps (the gap's rounding
+    floor), also counts as converged.
     """
 
     max_iterations: int = 200
@@ -88,7 +94,8 @@ class MLEResult:
     """Reconstructed state plus solver diagnostics.
 
     ``gap`` bounds how far ``log_likelihood`` lies below the maximum;
-    ``converged`` means it is within the configured tolerance.
+    ``converged`` means it is within max(gap_tolerance, N eps), N the
+    record's total count and eps the float64 machine epsilon.
     """
 
     rho: DensityMatrix2Q
@@ -170,8 +177,9 @@ def mle_reconstruct(
     Starts from the maximally mixed state and takes barrier Newton steps
     until the certified gap is at most gap_tolerance.  Running out of
     max_iterations steps, a gap that has not fallen for 20 steps, a singular
-    Newton system or a failed line search returns converged=False with the
-    iterate of smallest gap seen, and that gap.  ``callback``, when given,
+    Newton system or a failed line search returns the iterate of smallest gap
+    seen, and that gap, with converged=False unless the gap is within N eps
+    for the record's N counts (its rounding floor).  ``callback``, when given,
     is invoked as callback(iteration, rho_array, log_likelihood) after
     every step.
     """
@@ -182,6 +190,8 @@ def mle_reconstruct(
         # No events: the likelihood is flat, every state is maximal.
         rho = DensityMatrix2Q(_MIXED.copy())
         return MLEResult(rho=rho, log_likelihood=0.0, iterations=0, converged=True, gap=0.0)
+    # The gap is lambda_max - N, a difference of two numbers of size N.
+    floor = float(total * np.finfo(float).eps)
     root, p0, a = _whitening(exposure)
     # Zero-count settings add nothing to f, its gradient or its Hessian, and
     # tau > 0 keeps their p~_s positive: the Newton loop leaves them out, so a
@@ -261,6 +271,6 @@ def mle_reconstruct(
         rho=rho,
         log_likelihood=_ll_of_probs(setting_probabilities(rho.mat), counts, exposure),
         iterations=iterations,
-        converged=best_gap <= cfg.gap_tolerance,
+        converged=best_gap <= max(cfg.gap_tolerance, floor),
         gap=best_gap,
     )

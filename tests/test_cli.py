@@ -333,6 +333,19 @@ def test_tomo_of_a_noiseless_bell_target_at_huge_counts_exits_0(tmp_path, capsys
     assert json.loads(out)["results"]["tomo"]["converged"] is True
 
 
+def test_tomo_at_the_largest_counts_is_converged_within_rounding(tmp_path, capsys):
+    # The MLE stalls at a gap of 0.021, above the 0.01 tolerance but far below
+    # N eps (about 9e3 for these 4e19 counts), where the gap is rounding: the
+    # report says converged and stderr stays empty.
+    config = {"master_seed": 7, "state": "phi0", "theta0_deg": 30.0, "n_per_setting": 2**62}
+    code, out, err = run_cli(tmp_path, capsys, "tomo", config)
+    assert code == 0 and err == ""
+    tomo = json.loads(out)["results"]["tomo"]
+    assert tomo["converged"] is True
+    assert 0.01 < tomo["gap"] <= sum(tomo["record"]["counts"]) * np.finfo(float).eps
+    assert tomo["fidelity_vs_ideal"] > 1.0 - 1e-10
+
+
 # ---------------------------------------------------------------- overrides
 
 
@@ -538,6 +551,57 @@ def test_grid_points_are_exact_decimals(monkeypatch):
     assert [r["theta0_deg"] for r in rows[::101]] == values
     assert values[13] == 11.7 and values[26] == 23.4
     assert values == [float(f"{0.9 * i:.1f}") for i in range(101)]
+
+
+# ---------------------------------------------------------------- stacked rows
+
+
+def test_stacked_rows_match_the_per_protocol_scores(tmp_path, capsys):
+    from qdiscrim import (canonical_protocol, ff_success_probability, phi0, phi1, psi_pair,
+                          walgate_decompose, werner_noise)
+
+    config = {"master_seed": 5, "n_events": 1000, "noise_v": 0.93, "grid_step_deg": 30.0}
+    code, out, _ = run_cli(tmp_path, capsys, "grid", config)
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    code, out, _ = run_cli(tmp_path, capsys, "pair", config)
+    assert code == 0
+    rows.append(json.loads(out)["results"]["pair"])
+    for row in rows:
+        t0, t1 = row["theta0_deg"], row["theta1_deg"]
+        protocol = walgate_decompose(phi0(t0), phi1(t1))
+        noisy = werner_noise(phi0(t0), 0.93), werner_noise(phi1(t1), 0.93)
+        assert abs(row["ff_exact"] - ff_success_probability(protocol, *noisy)) <= 1e-15
+    code, out, _ = run_cli(tmp_path, capsys, "curve", config)
+    assert code == 0
+    for row in json.loads(out)["results"]["rows"]:
+        ideal = psi_pair(row["eta_deg"])
+        noisy = [werner_noise(state, 0.93) for state in ideal]
+        want = ff_success_probability(canonical_protocol(), *(s.density() for s in ideal))
+        assert abs(row["ff_ideal"] - want) <= 1e-15
+        want = ff_success_probability(canonical_protocol(), *noisy)
+        assert abs(row["ff_noisy"] - want) <= 1e-15
+
+
+def test_grid_curve_and_pair_build_no_povm_and_sample_no_single_state(
+    tmp_path, capsys, monkeypatch
+):
+    # Their rows read the protocols' product kets and draw from those
+    # probabilities; the POVM path stays for the library, unused here.
+    from qdiscrim import discrimination, measurement
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a per-row POVM or sampling call")
+
+    for module, name in ((measurement, "protocol_to_povm"), (measurement, "sample_coincidences"),
+                         (discrimination, "walgate_decompose")):
+        for owner in (module, qdiscrim, cli):
+            monkeypatch.setattr(owner, name, forbidden, raising=False)
+    config = {"master_seed": 9, "n_events": 1000, "noise_v": 0.95, "grid_step_deg": 45.0}
+    for experiment in ("grid", "curve", "pair"):
+        code, out, err = run_cli(tmp_path, capsys, experiment, config)
+        assert code == 0 and err == ""
+        assert jsonschema.validate(json.loads(out), SCHEMA) is None
 
 
 # ---------------------------------------------------------------- dependencies

@@ -23,6 +23,7 @@ from qdiscrim import (
     phi1,
     psi_pair,
     walgate_decompose,
+    walgate_pairs,
 )
 from qdiscrim import discrimination
 from qdiscrim.linalg import KET_H, KET_V, kron, projector
@@ -119,10 +120,18 @@ def test_hollow_vector_scaled_inputs(rng):
 
 
 def test_hollow_vector_closed_form_on_10k_random_traceless():
+    # One stacked call for all 10k matrices; each row is the single call's
+    # vector, bit for bit, and passes assert_hollow's checks.
     rng = np.random.default_rng(8)
-    for _ in range(10_000):
-        p, q, r = rng.normal(size=3) + 1j * rng.normal(size=3)
-        assert_hollow(np.array([[p, q], [r, -p]]))
+    p, q, r = rng.normal(size=(3, 10_000)) + 1j * rng.normal(size=(3, 10_000))
+    m = np.stack([np.stack([p, q], axis=-1), np.stack([r, -p], axis=-1)], axis=1)
+    w = discrimination._hollow_vectors(m)
+    assert np.abs(np.linalg.norm(w, axis=1) - 1.0).max() < 1e-14
+    residual = np.abs(np.einsum("bi,bij,bj->b", w.conj(), m, w))
+    assert (residual <= 1e-12 * np.abs(m).max(axis=(1, 2))).all()
+    assert (w[:, 0].imag == 0.0).all() and (w[:, 0].real >= np.abs(w[:, 1]) - 1e-15).all()
+    for matrix, row in zip(m, w):
+        assert np.array_equal(hollow_vector(matrix), row)
 
 
 def test_hollow_vector_rejects_traceful_input():
@@ -179,6 +188,45 @@ def test_walgate_handles_shared_alice_support():
     b = PureState2Q(np.array([0, 1, 0, 0], dtype=complex))
     protocol = walgate_decompose(a, b)
     assert abs(ff_success_probability(protocol, a.density(), b.density()) - 1.0) < 1e-9
+
+
+def _walgate_stack_cases(rng) -> list:
+    """Random complex orthogonal pairs, phi pairs with product members (0 and
+    90 degrees), a pair whose conditionals both vanish in one Alice branch, and
+    H/V product pairs."""
+    pairs = [random_orthogonal_pair(rng) for _ in range(40)]
+    pairs += [(phi0(t0), phi1(t1)) for t0 in (0.0, 30.0, 90.0) for t1 in (0.0, 45.0, 90.0)]
+    ket = {label: PureState2Q(np.eye(4, dtype=complex)[k]) for k, label in enumerate(
+        ("HH", "HV", "VH", "VV"))}
+    pairs += [(ket["HH"], ket["HV"]), (ket["HV"], ket["HH"]), (ket["HH"], ket["VV"]),
+              (ket["HV"], ket["VH"]), (ket["VV"], ket["VH"])]
+    return pairs
+
+
+def test_walgate_pairs_is_walgate_decompose_on_every_pair(rng):
+    pairs = _walgate_stack_cases(rng)
+    alone = [walgate_decompose(a, b) for a, b in pairs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = walgate_pairs(pairs)
+        reversed_stack = walgate_pairs(iter(pairs[::-1]))[::-1]
+    assert len(stacked) == len(pairs)
+    for single, got, got_reversed, (a, b) in zip(alone, stacked, reversed_stack, pairs):
+        for protocol in (got, got_reversed):
+            for key in ("alice_basis", "bob_bases", "guess_map"):
+                assert np.array_equal(getattr(protocol, key), getattr(single, key))
+        assert abs(ff_success_probability(got, a.density(), b.density()) - 1.0) < 1e-12
+    # HH against HV: Alice's V outcome never fires, and its Bob basis is H/V.
+    dead = stacked[-5]
+    assert np.allclose(np.abs(dead.alice_basis), np.eye(2))
+    assert np.array_equal(dead.bob_bases[1], np.eye(2))
+    assert walgate_pairs([]) == []
+
+
+def test_walgate_pairs_checks_every_pair():
+    good = (phi0(30.0), phi1(60.0))
+    with pytest.raises(NotOrthogonalError, match="exceeds 1e-9"):
+        walgate_pairs([good, psi_pair(20.0), good])
 
 
 def test_walgate_bases_are_orthonormal(rng):

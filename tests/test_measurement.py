@@ -13,6 +13,8 @@ from qdiscrim import (
     InvalidProtocolError,
     PureState2Q,
     canonical_protocol,
+    coincidence_probabilities,
+    draw_coincidences,
     estimate,
     ff_success_probability,
     phi0,
@@ -28,7 +30,7 @@ from qdiscrim.linalg import KET_D, KET_L, kron, projector
 from qdiscrim.measurement import TOMO_BASIS_LABELS, TOMO_LABELS, TomographyRecord
 from qdiscrim.states import u_state
 
-from conftest import random_density
+from conftest import random_density, random_unitary2
 
 MIXED = DensityMatrix2Q(np.eye(4, dtype=complex) / 4)
 
@@ -139,6 +141,85 @@ def test_sample_coincidences_accepts_integers_up_to_max_count():
     rho = werner_noise(phi0(30.0), 0.9)
     for n_total in (1, np.int64(7), np.uint8(3), 2**62):
         assert sample_coincidences(rho, povm, n_total, seed=1).total == n_total
+
+
+def _random_t_b_protocol(rng) -> FeedForwardProtocol:
+    return FeedForwardProtocol(
+        alice_basis=random_unitary2(rng),
+        bob_bases=np.stack([random_unitary2(rng), random_unitary2(rng)]),
+        guess_map=np.array([[0, 1], [0, 1]]),
+    )
+
+
+def test_coincidence_probabilities_are_the_povm_traces():
+    rng = np.random.default_rng(2401)
+    protocols = [_random_t_b_protocol(rng) for _ in range(30)]
+    protocols += [canonical_protocol(), walgate_decompose(phi0(30.0), phi1(60.0))]
+    rhos = [[random_density(rng, 1 + (k + r) % 4) for r in range(3)] for k in range(32)]
+    probs = coincidence_probabilities(protocols, rhos)
+    assert probs.shape == (32, 3, 4)
+    for protocol, states, got in zip(protocols, rhos, probs):
+        povm = protocol_to_povm(protocol)
+        want = [[np.trace(rho.mat @ mat).real for _, mat in povm] for rho in states]
+        assert np.abs(got - want).max() <= 1e-15
+    # One protocol for many states reads the same numbers.
+    one = coincidence_probabilities(iter(protocols[:1]), [rhos[0] + rhos[1]])
+    assert np.abs(one[0, :3] - probs[0]).max() <= 1e-15
+
+
+def test_coincidence_probabilities_keep_the_povm_guards():
+    rng = np.random.default_rng(2402)
+    good = _random_t_b_protocol(rng)
+    swapped = FeedForwardProtocol(
+        alice_basis=good.alice_basis, bob_bases=good.bob_bases,
+        guess_map=np.array([[1, 0], [0, 1]]),
+    )
+    rhos = [[MIXED], [MIXED]]
+    with pytest.raises(InvalidProtocolError, match="T_b convention"):
+        coincidence_probabilities([good, swapped], rhos)
+    # A basis that drifted after the protocol was checked: its kets no longer
+    # resolve the identity.
+    broken = _random_t_b_protocol(rng)
+    object.__setattr__(broken, "bob_bases", broken.bob_bases * 1.001)
+    with pytest.raises(IncompletePOVMError):
+        coincidence_probabilities([good, broken], rhos)
+    with pytest.raises(TypeError):
+        coincidence_probabilities([good, "not a protocol"], rhos)
+
+
+def test_sample_coincidences_is_a_draw_from_the_povm_probabilities():
+    rng = np.random.default_rng(2403)
+    for k in range(20):
+        protocol = _random_t_b_protocol(rng) if k % 2 else canonical_protocol()
+        rho = random_density(rng, 1 + k % 4)
+        povm = protocol_to_povm(protocol)
+        probs = [np.trace(rho.mat @ mat).real for _, mat in povm]
+        n_total = int(rng.integers(1, 10**7))
+        assert sample_coincidences(rho, povm, n_total, seed=k) == draw_coincidences(
+            probs, n_total, seed=k
+        )
+
+
+def test_draw_coincidences_validates_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the input was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    probs = [0.25, 0.25, 0.25, 0.25]
+    for n_total in (0, 1.0, True, 2**62 + 1, None):
+        with pytest.raises(ValueError, match="n_total"):
+            draw_coincidences(probs, n_total, seed=1)
+    for bad in ([0.5, 0.5, 0.0], [np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 1e-16, -0.1]):
+        with pytest.raises(ValueError, match="probabilit"):
+            draw_coincidences(bad, 10, seed=1)
+
+
+def test_draw_coincidences_snaps_and_normalises_without_touching_its_input():
+    probs = np.array([0.6, -1e-17, 0.2, 0.2 + 1e-12])
+    counts = draw_coincidences(probs, 10**6, seed=3)
+    assert counts.n_ta_rb == 0 and counts.total == 10**6
+    assert probs[1] == -1e-17
+    assert counts == draw_coincidences([0.6, 0.0, 0.2, 0.2 + 1e-12], 10**6, seed=3)
 
 
 def test_sample_coincidences_mixed_state_bins_within_5_sigma():
