@@ -57,7 +57,6 @@ from .measurement import (
     protocol_to_povm,
     sample_coincidences,
     simulate_tomography,
-    tomography_settings,
 )
 from .tomography import (
     MLEConfig,
@@ -113,7 +112,6 @@ __all__ = [
     "sample_coincidences",
     "simulate_tomography",
     "tangle",
-    "tomography_settings",
     "trace_norm",
     "u_perp_state",
     "u_state",

@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .discrimination import (
     EQUAL_PRIORS,
+    _success,
     canonical_protocol,
     helstrom_bound,
     optimize_local_projective,
@@ -231,21 +232,16 @@ def _decimal_range(lo: float, hi: float, step: float) -> list[float]:
     return [float(min(lo_d + i * step_d, hi_d)) for i in range(count + 1)]
 
 
-def _score_rows(probs: np.ndarray, cfg: ExperimentConfig):
+def _score_rows(probs: np.ndarray, guess: np.ndarray, cfg: ExperimentConfig):
     """Exact successes and sampled counts of every row, on a leading row axis.
 
     probs[row, k, r] holds the four outcome probabilities of the row's
-    protocol for state r of the row's k-th state pair.  Returns the
-    (rows, pairs) array of equal-prior successes and, per row, the counts
+    protocol, whose guess map is guess[row] (or guess for every row), for state
+    r of the row's k-th pair.  Returns the (rows, pairs) successes at equal
+    priors, as ff_success_probability gives them, and, per row, the counts
     drawn for its last pair with the row's seeds, their estimate and the seeds.
     """
-    # The label each outcome guesses under the T_b convention that
-    # coincidence_probabilities checks: T_b (TaTb, RaTb) guesses 0, R_b 1.
-    # Each outcome's probability under the state its label names, weighted by
-    # that label's prior, sums to the success, as ff_success_probability sums it.
-    guesses = np.array([0, 1, 0, 1])
-    weights = np.array([EQUAL_PRIORS.p0, EQUAL_PRIORS.p1])[guesses]
-    success = probs[..., guesses, np.arange(4)] @ weights
+    success = _success(probs.reshape(-1, 2, 4), guess, EQUAL_PRIORS).reshape(probs.shape[:2])
     sampled = []
     for row, pair in enumerate(probs[:, -1]):
         seed0, seed1 = _row_seeds(cfg.master_seed, row)
@@ -271,7 +267,7 @@ def _pair_rows(angles: list, states: list, no_ff: list, cfg: ExperimentConfig) -
     ideal pairs, built together, scored and sampled on the noisy pairs."""
     protocols = walgate_pairs([s[:2] for s in states])
     probs = coincidence_probabilities(protocols, [s[2:] for s in states])
-    success, sampled = _score_rows(probs[:, None], cfg)
+    success, sampled = _score_rows(probs[:, None], np.array([p.guess_map for p in protocols]), cfg)
     return [
         {
             "row_index": row,
@@ -329,8 +325,9 @@ def run_curve(cfg: ExperimentConfig) -> dict:
     pairs = [pair for s in states for pair in (s[:2], s[2:])]
     best = [value for _, value in optimize_pairs(pairs, EQUAL_PRIORS)]
     # The one fixed protocol, built once, for all of the rows' states.
-    probs = coincidence_probabilities([canonical_protocol()], [[r for s in states for r in s]])
-    success, sampled = _score_rows(probs.reshape(len(etas), 2, 2, 4), cfg)
+    protocol = canonical_protocol()
+    probs = coincidence_probabilities([protocol], [[r for s in states for r in s]])
+    success, sampled = _score_rows(probs.reshape(-1, 2, 2, 4), protocol.guess_map, cfg)
     rows = []
     for row, (eta, s, (ff_ideal, ff_noisy), drawn) in enumerate(zip(etas, states, success, sampled)):
         rows.append({

@@ -26,7 +26,7 @@ from .errors import (
     NotOrthogonalError,
     NotTracelessError,
 )
-from .linalg import ID2, KET_H, KET_V, PAULIS, PAULI_Z, kron, perp2, projector, read_only
+from .linalg import ID2, KET_H, KET_V, PAULIS, PAULI_Z, perp2, read_only
 from .states import DensityMatrix2Q, PureState2Q, u_perp_state, u_state
 
 ORTHOGONALITY_ATOL = 1e-9
@@ -92,10 +92,6 @@ class FeedForwardProtocol:
         object.__setattr__(self, "alice_basis", read_only(alice))
         object.__setattr__(self, "bob_bases", read_only(bobs))
         object.__setattr__(self, "guess_map", read_only(guess, int))
-
-    def projector(self, i: int, j: int) -> np.ndarray:
-        """Global projector for Alice outcome i and Bob outcome j."""
-        return kron(projector(self.alice_basis[i]), projector(self.bob_bases[i][j]))
 
 
 @dataclass(frozen=True)
@@ -171,13 +167,17 @@ def _hollow_vectors(m: np.ndarray) -> np.ndarray:
     if traceful.any():
         raise NotTracelessError(f"|trace| = {abs(trace[traceful.argmax()]):.3e} exceeds 1e-10")
     m = m - (trace / 2.0)[:, None, None] * ID2
+    # The closed form runs on m / 2^e, its largest entry in [1/2, 1) (an exact
+    # scaling; e = 0 for m = 0), so that no square under- or overflows.
+    peak = np.abs(m).max(axis=(1, 2))
+    unit = np.ldexp(m.view(np.float64), -np.frexp(peak)[1][:, None, None]).view(complex)
 
     # m = z.sigma with a, b = Re z, Im z, swapped when Re z = 0 so that a is
     # zero only when m is.
     z = np.empty((len(m), 3), dtype=complex)
-    z[:, 0] = m[:, 0, 1] + m[:, 1, 0]
-    z[:, 1] = 1j * (m[:, 0, 1] - m[:, 1, 0])
-    z[:, 2] = m[:, 0, 0] - m[:, 1, 1]
+    z[:, 0] = unit[:, 0, 1] + unit[:, 1, 0]
+    z[:, 1] = 1j * (unit[:, 0, 1] - unit[:, 1, 0])
+    z[:, 2] = unit[:, 0, 0] - unit[:, 1, 1]
     z /= 2.0
     a, b = z.real, z.imag
     zero = None
@@ -206,7 +206,7 @@ def _hollow_vectors(m: np.ndarray) -> np.ndarray:
     w /= _complex_norm(w)
 
     residual = np.abs((w.conj()[:, None, :] @ m @ w[:, :, None])[:, 0, 0])
-    limit = HOLLOW_RESIDUAL * np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    limit = HOLLOW_RESIDUAL * np.maximum(1.0, peak)
     failed = ~(residual <= limit)
     if failed.any():
         k = failed.argmax()
@@ -307,6 +307,21 @@ def _product_kets(alice: np.ndarray, bobs: np.ndarray) -> np.ndarray:
     return kets.reshape(kets.shape[:-4] + (4, 4))
 
 
+def _ket_probabilities(kets: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """<k_bo|mats_br|k_bo> of (B, 4, 4) stacked product kets and (B, R, 4, 4)
+    matrices, as a (B, R, 4) stack: every protocol's outcome probabilities are
+    formed here, so a stack gives exactly the numbers of its items alone."""
+    return ((kets.conj()[:, None] @ mats) * kets[:, None]).sum(axis=-1).real
+
+
+def _success(q: np.ndarray, guess: np.ndarray, priors: PriorPair) -> np.ndarray:
+    """Guess-weighted successes sum_o p_g q[b, g, o], g = guess[b, o], as a (B,)
+    stack, for (B, 2, 4) outcome probabilities under (rho0, rho1) and (B, 2, 2)
+    guess maps, or one (2, 2) map for all of them."""
+    labels = guess.reshape(-1, 4)
+    return np.where(labels == 0, priors.p0 * q[:, 0], priors.p1 * q[:, 1]).sum(axis=-1)
+
+
 def _check_priors(priors: PriorPair) -> PriorPair:
     if not isinstance(priors, PriorPair):
         raise TypeError("priors must be a PriorPair")
@@ -324,16 +339,14 @@ def ff_success_probability(
 
     Sums p_label <k_ij|rho_label|k_ij> over the four product kets k_ij =
     alice_i (x) bob_ij, where the label is the protocol's guess for branch
-    (i, j): one einsum over the stacked kets and the rho each label picks.
-    The kets resolve the identity because the protocol's bases were checked
+    (i, j): _ket_probabilities and _success on a stack of one.  The kets
+    resolve the identity because the protocol's bases were checked
     orthonormal when it was built.
     """
     _check_priors(priors)
     kets = _product_kets(protocol.alice_basis, protocol.bob_bases)
-    labels = protocol.guess_map.ravel()
-    rhos = np.stack([rho0.mat, rho1.mat])[labels]
-    weights = np.array([priors.p0, priors.p1])[labels]
-    return float(weights @ np.einsum("oj,ojk,ok->o", kets.conj(), rhos, kets).real)
+    q = _ket_probabilities(kets[None], np.stack([rho0.mat, rho1.mat])[None])
+    return float(_success(q, protocol.guess_map, priors)[0])
 
 
 def helstrom_bound(
@@ -527,10 +540,10 @@ def optimize_local_projective(
     it beats both staying and the ascent point g/|g|; the polish ends as soon
     as the best-scoring start has stopped (see _polish).
     Outcomes go to the larger weighted probability (label 0 wins ties) and
-    the value is re-evaluated at the winning measurement, so reruns agree
-    bit for bit.  The measurement is returned as a FeedForwardProtocol whose
-    two Bob bases are equal, scored by ff_success_probability.  This is
-    optimize_pairs on a stack of one pair.
+    the value is the success at the winning measurement, so reruns agree bit
+    for bit.  The measurement is returned as a FeedForwardProtocol whose two
+    Bob bases are equal, and the value is exactly its ff_success_probability.
+    This is optimize_pairs on a stack of one pair.
     """
     return optimize_pairs([(rho0, rho1)], priors, config)[0]
 
@@ -544,9 +557,9 @@ def optimize_pairs(
 
     The pairs go through the search in stacks of up to 64: one einsum gives
     their correlation tables, and the grid stage, the polish, the choice of
-    Bob's direction and the guesses each run once on a leading pair axis.
-    Every pair keeps its own stopping rule, so a pair's result is the one it
-    gets alone.  Only the FeedForwardProtocol and its score are made per pair.
+    Bob's direction, the guesses and the values each run once on a leading
+    pair axis.  Every pair keeps its own stopping rule, so a pair's result is
+    the one it gets alone.  Only the FeedForwardProtocol is made per pair.
     """
     _check_priors(priors)
     cfg = config or OptimizerConfig()
@@ -578,16 +591,12 @@ def _optimize_block(pairs: list, priors: PriorPair, cfg: OptimizerConfig) -> lis
 
     bases = _basis(np.stack([alice, bob], axis=1))
     ua, bobs = bases[:, 0], bases[:, [1, 1]]
-    kets = _product_kets(ua, bobs)
-    q = np.einsum("boj,brjk,bok->bro", kets.conj(), rhos, kets).real
+    q = _ket_probabilities(_product_kets(ua, bobs), rhos)
     assignment = np.where(priors.p0 * q[:, 0] >= priors.p1 * q[:, 1], 0, 1).reshape(-1, 2, 2)
-    results = []
-    for (rho0, rho1), alice_basis, bob_bases, guess in zip(pairs, ua, bobs, assignment):
-        protocol = FeedForwardProtocol(
-            alice_basis=alice_basis, bob_bases=bob_bases, guess_map=guess
-        )
-        results.append((protocol, ff_success_probability(protocol, rho0, rho1, priors)))
-    return results
+    return [
+        (FeedForwardProtocol(alice_basis=a, bob_bases=b, guess_map=guess), float(value))
+        for a, b, guess, value in zip(ua, bobs, assignment, _success(q, assignment, priors))
+    ]
 
 
 def advantage(

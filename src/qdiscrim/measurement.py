@@ -16,22 +16,14 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discrimination import FeedForwardProtocol, _product_kets
+from .discrimination import FeedForwardProtocol, _ket_probabilities, _product_kets
 from .errors import EmptyCountsError, IncompletePOVMError, InvalidProtocolError
-from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, kron, projector, read_only
+from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, read_only
 from .states import DensityMatrix2Q
 
 COINCIDENCE_LABELS = ("TaTb", "TaRb", "RaTb", "RaRb")
 
 TOMO_BASIS_LABELS = ("H", "V", "D", "A", "R", "L")
-_TOMO_KETS = {
-    "H": KET_H,
-    "V": KET_V,
-    "D": KET_D,
-    "A": KET_A,
-    "R": KET_R,
-    "L": KET_L,
-}
 
 POVM_COMPLETENESS_ATOL = 1e-9
 _ZERO_PROB = 1e-15
@@ -42,14 +34,15 @@ MAX_COUNT = 2**62
 
 
 TOMO_LABELS = tuple((a, b) for a in TOMO_BASIS_LABELS for b in TOMO_BASIS_LABELS)
-_TOMO_PROJECTORS = read_only(
-    [kron(projector(_TOMO_KETS[a]), projector(_TOMO_KETS[b])) for a, b in TOMO_LABELS]
-)
-# The tomography design matrix, built once and read-only: the (36, 16) complex
-# projector stack viewed as float64, so that TOMO_DESIGN @ M.reshape(16).view(float)
-# is Re Tr(Pi_s M) for every setting s (each Pi_s is Hermitian), and c @ TOMO_DESIGN,
-# viewed back as complex, is sum_s c_s Pi_s for real weights c.
-TOMO_DESIGN = _TOMO_PROJECTORS.reshape(36, 16).view(np.float64)
+_SIX_KETS = np.array([KET_H, KET_V, KET_D, KET_A, KET_R, KET_L])
+# The 36 product kets a (x) b of the six polarisation kets, as rows in TOMO_LABELS order.
+_TOMO_PRODUCT_KETS = np.kron(_SIX_KETS, _SIX_KETS)
+# The tomography design matrix, built once and read-only: their projectors Pi_s as
+# a (36, 16) complex stack viewed as float64, so that TOMO_DESIGN @ M.reshape(16)
+# .view(float) is Re Tr(Pi_s M) for every setting s (each Pi_s is Hermitian), and
+# c @ TOMO_DESIGN, viewed back as complex, is sum_s c_s Pi_s for real weights c.
+TOMO_DESIGN = read_only(_TOMO_PRODUCT_KETS[:, :, None] * _TOMO_PRODUCT_KETS[:, None].conj())
+TOMO_DESIGN = TOMO_DESIGN.reshape(36, 16).view(np.float64)
 
 
 @dataclass(frozen=True)
@@ -159,14 +152,13 @@ def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarra
     the feed-forward switch), Bob outcome 0 is T_b; labels follow
     COINCIDENCE_LABELS order.  ``estimate`` reads T_b as the label-0 guess,
     so a protocol whose guess_map is not [[0, 1], [0, 1]] raises
-    InvalidProtocolError.
+    InvalidProtocolError.  Each element is the outer product |k_o><k_o| of the
+    product ket k_o = alice_i (x) bob_ij that coincidence_probabilities reads.
     """
     _require_t_b(protocol)
-    elements = []
-    for label, (i, j) in zip(COINCIDENCE_LABELS, ((0, 0), (0, 1), (1, 0), (1, 1))):
-        elements.append((label, protocol.projector(i, j)))
-    _require_complete(np.sum([mat for _, mat in elements], axis=0))
-    return elements
+    kets = _product_kets(protocol.alice_basis, protocol.bob_bases)
+    _require_complete(kets.T @ kets.conj())
+    return list(zip(COINCIDENCE_LABELS, kets[:, :, None] * kets.conj()[:, None, :]))
 
 
 def _require_complete(total: np.ndarray) -> None:
@@ -179,17 +171,22 @@ def _require_complete(total: np.ndarray) -> None:
 def coincidence_probabilities(protocols, rhos) -> np.ndarray:
     """Outcome probabilities of every protocol for its states, without POVM matrices.
 
-    protocols holds B protocols and rhos, for each of them, the same number R
-    of DensityMatrix2Q.  Entry [b, r, o] of the (B, R, 4) result is
-    Tr(rho_br Pi_o) for outcome o of protocol b, in COINCIDENCE_LABELS order.
+    protocols holds B protocols and rhos one row per protocol, every row the
+    same number R of DensityMatrix2Q; other counts raise ValueError, and no
+    protocols give a (0, 0, 4) array.  Entry [b, r, o] of the (B, R, 4) result
+    is Tr(rho_br Pi_o) for outcome o of protocol b, in COINCIDENCE_LABELS order.
     Each Pi_o is the projector on a product ket k_o = alice_i (x) bob_ij, so
-    Tr(rho Pi_o) = <k_o|rho|k_o>: one stacked product of the kets with the
-    states gives them all.  protocol_to_povm's guards hold for each protocol: a guess map other
-    than [[0, 1], [0, 1]] raises InvalidProtocolError, and kets whose
-    projectors do not sum to the identity within POVM_COMPLETENESS_ATOL raise
-    IncompletePOVMError.
+    Tr(rho Pi_o) = <k_o|rho|k_o>, which _ket_probabilities reads for every
+    protocol and state at once.  protocol_to_povm's guards hold for each
+    protocol: a guess map other than [[0, 1], [0, 1]] raises
+    InvalidProtocolError, and kets whose projectors do not sum to the identity
+    within POVM_COMPLETENESS_ATOL raise IncompletePOVMError.
     """
-    protocols = list(protocols)
+    protocols, rhos = list(protocols), [list(row) for row in rhos]
+    if len(rhos) != len(protocols) or len({len(row) for row in rhos}) > 1:
+        raise ValueError("expected one row of states per protocol, all rows of one length")
+    if not protocols:
+        return np.zeros((0, 0, 4))
     for protocol in protocols:
         _require_t_b(protocol)
     kets = _product_kets(
@@ -198,7 +195,7 @@ def coincidence_probabilities(protocols, rhos) -> np.ndarray:
     # sum_o |k_o><k_o| = K^T conj(K) for the kets K stacked as rows.
     _require_complete(kets.transpose(0, 2, 1) @ kets.conj())
     mats = np.array([[rho.mat for rho in row] for row in rhos])
-    return ((kets.conj()[:, None] @ mats) * kets[:, None]).sum(axis=-1).real
+    return _ket_probabilities(kets, mats)
 
 
 def sample_coincidences(
@@ -212,7 +209,8 @@ def sample_coincidences(
     Outcome probabilities are Tr(rho Pi) for the four POVM elements, and
     draw_coincidences draws the counts from them; identical seeds give
     identical counts.  n_total must be an integer (not a bool) in
-    [1, MAX_COUNT]; anything else raises ValueError before any draw.
+    [1, MAX_COUNT] and seed a nonnegative one; anything else raises
+    ValueError before any draw.
     """
     mats = [np.asarray(mat, dtype=complex) for _, mat in povm]
     if len(mats) != 4:
@@ -222,22 +220,24 @@ def sample_coincidences(
     return draw_coincidences(probs, n_total, seed)
 
 
+def _require_integer(value, lo, hi, rule: str) -> None:
+    """Raise ValueError(rule) unless value is an int or numpy integer in [lo, hi], not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not lo <= value <= hi:
+        raise ValueError(f"{rule}, got {value!r}")
+
+
 def draw_coincidences(probs, n_total: int, seed: int) -> CoincidenceCounts:
     """n_total coincidence events drawn from four outcome probabilities.
 
     One multinomial sample from numpy's default generator seeded with seed,
     so identical seeds give identical counts.  Probabilities at or below
     1e-15 count as exactly 0 and the rest are normalised to sum 1.  n_total
-    must be an integer (not a bool) in [1, MAX_COUNT], and probs four finite
-    numbers with a positive sum; anything else raises ValueError before any
-    draw.
+    must be an integer (not a bool) in [1, MAX_COUNT], seed a nonnegative
+    integer, and probs four finite numbers with a positive sum; anything else
+    raises ValueError before any draw.
     """
-    if (
-        isinstance(n_total, bool)
-        or not isinstance(n_total, (int, np.integer))
-        or not 1 <= n_total <= MAX_COUNT
-    ):
-        raise ValueError(f"n_total must be an integer in [1, 2**62], got {n_total!r}")
+    _require_integer(n_total, 1, MAX_COUNT, "n_total must be an integer in [1, 2**62]")
+    _require_integer(seed, 0, np.inf, "seed must be a nonnegative integer")
     probs = np.array(probs, dtype=float)
     if probs.shape != (4,) or not np.isfinite(probs).all():
         raise ValueError(f"expected 4 finite outcome probabilities, got {probs.tolist()}")
@@ -278,17 +278,6 @@ def estimate(
     )
 
 
-def tomography_settings() -> list[tuple[tuple[str, str], np.ndarray]]:
-    """The 36 labelled product projectors, Alice label major.
-
-    Order is (H, V, D, A, R, L) on Alice crossed with the same sequence on
-    Bob; the spanned design matrix has full rank 16, so the setting set is
-    tomographically complete.  The matrices are copies of the cached ones,
-    so a caller may change them freely.
-    """
-    return [(label, mat.copy()) for label, mat in zip(TOMO_LABELS, _TOMO_PROJECTORS)]
-
-
 def setting_probabilities(mat: np.ndarray) -> np.ndarray:
     """Re Tr(Pi_s mat) for the 36 tomography settings, in TOMO_LABELS order."""
     return TOMO_DESIGN @ np.ascontiguousarray(mat, dtype=complex).reshape(16).view(np.float64)
@@ -300,11 +289,14 @@ def simulate_tomography(
     """Poisson tomography record with mean n_per_setting * e_s * Tr(rho Pi_s).
 
     ``exposure`` holds the 36 positive e_s in TOMO_LABELS order (default
-    all 1) and is stored in the record.
+    all 1) and is stored in the record.  n_per_setting must be a positive
+    finite number (not a bool) and seed a nonnegative integer; anything else
+    raises ValueError before any draw.
     """
     # NaN and infinity fail here too, before they reach the Poisson draw.
-    if not 0 < n_per_setting < np.inf:
+    if isinstance(n_per_setting, (bool, np.bool_)) or not 0 < n_per_setting < np.inf:
         raise ValueError(f"n_per_setting must be positive and finite, got {n_per_setting}")
+    _require_integer(seed, 0, np.inf, "seed must be a nonnegative integer")
     # An empty record checks the exposures before any draw.
     exposure = TomographyRecord.from_counts(np.zeros(36, dtype=int), exposure).exposure
     rng = np.random.default_rng(int(seed))

@@ -3,7 +3,16 @@ import pytest
 
 from qdiscrim import DensityMatrix2Q, PureState2Q
 from qdiscrim.linalg import kron
-from qdiscrim.measurement import TomographyRecord, tomography_settings
+from qdiscrim.measurement import TomographyRecord
+
+_S = 1.0 / np.sqrt(2.0)
+# The H, V, D, A, R, L polarisation kets, written out here.
+SIX_KETS = [np.array(v, dtype=complex) for v in
+            ([1, 0], [0, 1], [_S, _S], [_S, -_S], [_S, 1j * _S], [_S, -1j * _S])]
+# The 36 tomography projectors, Alice's ket major, built with np.kron of the
+# kets' projectors: an oracle independent of the package's design matrix.
+TOMO_PROJECTORS = np.array([np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+                            for a in SIX_KETS for b in SIX_KETS])
 
 
 def random_pure(rng) -> PureState2Q:
@@ -42,7 +51,7 @@ def noiseless_record(rho: DensityMatrix2Q, n_per_setting: int, exposure=None) ->
     """Counts rounded from the exact Poisson means n_per_setting * e_s * p_s
     (no sampling); exposures e_s default to 1."""
     exposure = np.ones(36) if exposure is None else np.asarray(exposure, dtype=float)
-    probs = [max(float(np.trace(rho.mat @ mat).real), 0.0) for _, mat in tomography_settings()]
+    probs = [max(float(np.trace(rho.mat @ mat).real), 0.0) for mat in TOMO_PROJECTORS]
     counts = np.rint(n_per_setting * exposure * np.array(probs)).astype(int)
     return TomographyRecord.from_counts(counts, exposure)
 

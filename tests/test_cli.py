@@ -571,16 +571,16 @@ def test_stacked_rows_match_the_per_protocol_scores(tmp_path, capsys):
         t0, t1 = row["theta0_deg"], row["theta1_deg"]
         protocol = walgate_decompose(phi0(t0), phi1(t1))
         noisy = werner_noise(phi0(t0), 0.93), werner_noise(phi1(t1), 0.93)
-        assert abs(row["ff_exact"] - ff_success_probability(protocol, *noisy)) <= 1e-15
+        assert row["ff_exact"] == ff_success_probability(protocol, *noisy)
     code, out, _ = run_cli(tmp_path, capsys, "curve", config)
     assert code == 0
     for row in json.loads(out)["results"]["rows"]:
         ideal = psi_pair(row["eta_deg"])
         noisy = [werner_noise(state, 0.93) for state in ideal]
         want = ff_success_probability(canonical_protocol(), *(s.density() for s in ideal))
-        assert abs(row["ff_ideal"] - want) <= 1e-15
+        assert row["ff_ideal"] == want
         want = ff_success_probability(canonical_protocol(), *noisy)
-        assert abs(row["ff_noisy"] - want) <= 1e-15
+        assert row["ff_noisy"] == want
 
 
 def test_grid_curve_and_pair_build_no_povm_and_sample_no_single_state(

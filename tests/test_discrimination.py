@@ -21,6 +21,7 @@ from qdiscrim import (
     optimize_pairs,
     phi0,
     phi1,
+    protocol_to_povm,
     psi_pair,
     walgate_decompose,
     walgate_pairs,
@@ -117,6 +118,22 @@ def test_hollow_vector_scaled_inputs(rng):
         for _ in range(200):
             p, q, r = rng.normal(size=3) + 1j * rng.normal(size=3)
             assert_hollow(scale * np.array([[p, q], [r, -p]]))
+
+
+def test_hollow_vector_at_extreme_scales():
+    # Entries near 1e-170 used to divide by zero (|a|^2 underflowed), near
+    # 1e-160 to come back 4e-6 off with a residual the gate could not see, and
+    # near 1e160 to overflow.  A power-of-two scale changes no bit.
+    m = np.array([[1.0, 2.0 + 1.0j], [0.5j, -1.0]])
+    base = hollow_vector(m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-300, 1e-170, 1e160, 1e300):
+            w = hollow_vector(scale * m)
+            assert np.abs(w - base).max() <= 1e-15
+            assert abs(np.vdot(w, scale * m @ w)) <= 1e-12 * np.abs(scale * m).max()
+        for power in (-560, 530):
+            assert np.array_equal(hollow_vector(2.0**power * m), base)
 
 
 def test_hollow_vector_closed_form_on_10k_random_traceless():
@@ -240,7 +257,7 @@ def test_walgate_bases_are_orthonormal(rng):
 def test_protocol_projectors_resolve_identity(rng):
     a, b = random_orthogonal_pair(rng)
     protocol = walgate_decompose(a, b)
-    total = sum(protocol.projector(i, j) for i in range(2) for j in range(2))
+    total = sum(mat for _, mat in protocol_to_povm(protocol))
     assert np.abs(total - np.eye(4)).max() < 1e-12
 
 
@@ -655,6 +672,7 @@ def test_optimize_pairs_agrees_with_single_calls_on_skewed_priors():
     rng = np.random.default_rng(2301)
     pairs = [(random_density(rng, 1 + i % 4), random_density(rng, 1 + (i // 4) % 4))
              for i in range(200)]
+    assert len(pairs) > 3 * discrimination._BLOCK  # every block, the last one partly filled
     for priors in (PriorPair(0.3, 0.7), PriorPair(0.85, 0.15)):
         stacked = optimize_pairs(pairs, priors)
         assert len(stacked) == len(pairs)

@@ -22,15 +22,13 @@ from qdiscrim import (
     protocol_to_povm,
     sample_coincidences,
     simulate_tomography,
-    tomography_settings,
     walgate_decompose,
     werner_noise,
 )
-from qdiscrim.linalg import KET_D, KET_L, kron, projector
-from qdiscrim.measurement import TOMO_BASIS_LABELS, TOMO_LABELS, TomographyRecord
-from qdiscrim.states import u_state
+from qdiscrim.linalg import kron, projector
+from qdiscrim.measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
 
-from conftest import random_density, random_unitary2
+from conftest import TOMO_PROJECTORS, random_density, random_unitary2
 
 MIXED = DensityMatrix2Q(np.eye(4, dtype=complex) / 4)
 
@@ -151,6 +149,23 @@ def _random_t_b_protocol(rng) -> FeedForwardProtocol:
     )
 
 
+def _kron_povm(protocol: FeedForwardProtocol) -> list:
+    """The four coincidence projectors as np.kron of Alice's and Bob's
+    one-qubit projectors, in COINCIDENCE_LABELS order."""
+    return [np.kron(np.outer(a, a.conj()), np.outer(b, b.conj()))
+            for a, bob in zip(protocol.alice_basis, protocol.bob_bases) for b in bob]
+
+
+def test_protocol_to_povm_is_the_kron_of_the_local_projectors():
+    rng = np.random.default_rng(2404)
+    for _ in range(200):
+        protocol = _random_t_b_protocol(rng)
+        povm = protocol_to_povm(protocol)
+        assert [label for label, _ in povm] == list(COINCIDENCE_LABELS)
+        for (_, got), want in zip(povm, _kron_povm(protocol), strict=True):
+            assert np.abs(got - want).max() <= 1e-15
+
+
 def test_coincidence_probabilities_are_the_povm_traces():
     rng = np.random.default_rng(2401)
     protocols = [_random_t_b_protocol(rng) for _ in range(30)]
@@ -159,12 +174,23 @@ def test_coincidence_probabilities_are_the_povm_traces():
     probs = coincidence_probabilities(protocols, rhos)
     assert probs.shape == (32, 3, 4)
     for protocol, states, got in zip(protocols, rhos, probs):
-        povm = protocol_to_povm(protocol)
-        want = [[np.trace(rho.mat @ mat).real for _, mat in povm] for rho in states]
+        want = [[np.trace(rho.mat @ mat).real for mat in _kron_povm(protocol)] for rho in states]
         assert np.abs(got - want).max() <= 1e-15
-    # One protocol for many states reads the same numbers.
-    one = coincidence_probabilities(iter(protocols[:1]), [rhos[0] + rhos[1]])
-    assert np.abs(one[0, :3] - probs[0]).max() <= 1e-15
+    # A stack gives exactly the numbers of each protocol alone, whatever other
+    # states share its row.
+    for k in (0, 17, 31):
+        one = coincidence_probabilities(iter(protocols[k : k + 1]), [rhos[k] + rhos[0]])
+        assert np.array_equal(one[0, :3], probs[k])
+
+
+def test_coincidence_probabilities_take_one_row_per_protocol():
+    rng = np.random.default_rng(2405)
+    p, q = _random_t_b_protocol(rng), _random_t_b_protocol(rng)
+    # One row used to be broadcast to both protocols.
+    for rhos in ([[MIXED]], [[MIXED], [MIXED], [MIXED]], [[MIXED], [MIXED, MIXED]], []):
+        with pytest.raises(ValueError, match="one row of states per protocol"):
+            coincidence_probabilities([p, q], rhos)
+    assert coincidence_probabilities([], []).shape == (0, 0, 4)
 
 
 def test_coincidence_probabilities_keep_the_povm_guards():
@@ -209,6 +235,12 @@ def test_draw_coincidences_validates_before_any_draw(monkeypatch):
     for n_total in (0, 1.0, True, 2**62 + 1, None):
         with pytest.raises(ValueError, match="n_total"):
             draw_coincidences(probs, n_total, seed=1)
+    # 2.7 and 2.2 used to draw the same stream as seed 2, and True as seed 1.
+    for seed in (2.7, 2.2, np.float64(3.0), True, np.bool_(True), -1, np.int64(-3), "5", None):
+        with pytest.raises(ValueError, match="seed"):
+            draw_coincidences(probs, 10, seed)
+        with pytest.raises(ValueError, match="seed"):
+            sample_coincidences(MIXED, protocol_to_povm(canonical_protocol()), 10, seed)
     for bad in ([0.5, 0.5, 0.0], [np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 1e-16, -0.1]):
         with pytest.raises(ValueError, match="probabilit"):
             draw_coincidences(bad, 10, seed=1)
@@ -279,20 +311,19 @@ def test_estimator_consistent_at_large_n():
 # ---------------------------------------------------------------- tomography acquisition
 
 
-def test_tomography_settings_count_order_and_values():
-    settings = tomography_settings()
-    assert len(settings) == 36
-    labels = [label for label, _ in settings]
-    assert labels[0] == ("H", "H") and labels[5] == ("H", "L") and labels[-1] == ("L", "L")
-    assert len(set(labels)) == 36
-    by_label = dict(settings)
-    want = kron(projector(KET_D), projector(KET_L))
-    assert np.abs(by_label[("D", "L")] - want).max() < 1e-15
+def test_tomography_design_is_the_kron_oracle():
+    assert TOMO_LABELS[0] == ("H", "H") and TOMO_LABELS[5] == ("H", "L")
+    assert TOMO_LABELS[-1] == ("L", "L") and len(set(TOMO_LABELS)) == 36
+    assert not TOMO_DESIGN.flags.writeable
+    design = TOMO_DESIGN.view(complex).reshape(36, 4, 4)
+    assert np.array_equal(design, TOMO_PROJECTORS)
+    rho = random_density(np.random.default_rng(2406))
+    want = [np.trace(mat @ rho.mat).real for mat in TOMO_PROJECTORS]
+    assert np.abs(setting_probabilities(rho.mat) - want).max() <= 1e-15
 
 
 def test_tomography_design_matrix_has_full_rank():
-    design = np.stack([mat.reshape(16) for _, mat in tomography_settings()])
-    assert np.linalg.matrix_rank(design) == 16
+    assert np.linalg.matrix_rank(TOMO_DESIGN.view(complex)) == 16
 
 
 def test_simulate_tomography_deterministic_and_mean_accurate():
@@ -301,7 +332,7 @@ def test_simulate_tomography_deterministic_and_mean_accurate():
     b = simulate_tomography(rho, 10_000, seed=4)
     assert np.array_equal(a.counts, b.counts)
     means = np.array(
-        [10_000 * np.trace(rho.mat @ mat).real for _, mat in tomography_settings()]
+        [10_000 * np.trace(rho.mat @ mat).real for mat in TOMO_PROJECTORS]
     )
     # Poisson: every count within 6 sigma of its mean
     sigma = np.sqrt(np.clip(means, 1.0, None))
@@ -317,7 +348,7 @@ def test_simulate_tomography_weights_exposures():
     exposure = np.random.default_rng(6).uniform(0.5, 2.0, size=36)
     record = simulate_tomography(rho, 10_000, seed=4, exposure=exposure)
     assert np.array_equal(record.exposure, exposure)
-    probs = np.array([np.trace(rho.mat @ mat).real for _, mat in tomography_settings()])
+    probs = np.array([np.trace(rho.mat @ mat).real for mat in TOMO_PROJECTORS])
     means = 10_000 * exposure * probs
     sigma = np.sqrt(np.clip(means, 1.0, None))
     assert (np.abs(record.counts - means) <= 6 * sigma).all()
@@ -345,9 +376,12 @@ def test_non_finite_tomography_inputs_raise_value_error():
     # warnings filter makes any such warning fail this test.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for bad in (float("nan"), float("inf"), -float("inf"), 0, -1.0):
+        for bad in (float("nan"), float("inf"), -float("inf"), 0, -1.0, True, np.bool_(True)):
             with pytest.raises(ValueError, match="n_per_setting"):
                 simulate_tomography(MIXED, bad, seed=1)
+        for seed in (2.7, 2.2, True, -1, None):
+            with pytest.raises(ValueError, match="seed"):
+                simulate_tomography(MIXED, 10, seed)
         for value in (np.inf, -np.inf, np.nan, 1e300, 2.0**63, 2.5):
             counts = np.full(36, 10.0)
             counts[7] = value

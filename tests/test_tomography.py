@@ -18,9 +18,9 @@ from qdiscrim import (
     werner_noise,
 )
 from qdiscrim import tomography
-from qdiscrim.measurement import TomographyRecord, tomography_settings
+from qdiscrim.measurement import TomographyRecord
 
-from conftest import noiseless_record, random_density
+from conftest import TOMO_PROJECTORS, noiseless_record, random_density
 
 MIXED = DensityMatrix2Q(np.eye(4, dtype=complex) / 4)
 HH = PureState2Q(np.array([1, 0, 0, 0], dtype=complex))
@@ -60,7 +60,7 @@ def test_log_likelihood_uniform_exposures_is_sum_n_ln_p_minus_n(rng):
     truth = werner_noise(phi0(35.0), 0.8)
     record = simulate_tomography(truth, 5000, seed=12)
     for rho in (truth, random_density(rng)):
-        probs = np.array([np.trace(rho.mat @ mat).real for _, mat in tomography_settings()])
+        probs = np.array([np.trace(rho.mat @ mat).real for mat in TOMO_PROJECTORS])
         expected = record.counts @ np.log(probs) - record.counts.sum()
         assert log_likelihood(rho, record) == pytest.approx(expected, rel=1e-12)
 
@@ -75,7 +75,7 @@ def test_log_likelihood_weights_exposures(rng):
     total = counts.sum()
     const = counts @ np.log(exposure) + total * np.log(4.0 * total / exposure.sum())
     for rho in (truth, random_density(rng), MIXED):
-        probs = np.array([np.trace(rho.mat @ mat).real for _, mat in tomography_settings()])
+        probs = np.array([np.trace(rho.mat @ mat).real for mat in TOMO_PROJECTORS])
         intensity = total / (exposure @ probs)
         means = intensity * exposure * probs
         profile = counts @ np.log(means) - means.sum()
@@ -236,7 +236,7 @@ def _reference_simulate(rho, n_per_setting, seed, exposure=None):
     exposure = np.ones(36) if exposure is None else exposure
     rng = np.random.default_rng(seed)
     counts = []
-    for (_, mat), e in zip(tomography_settings(), exposure):
+    for mat, e in zip(TOMO_PROJECTORS, exposure):
         p = max(float(np.trace(rho.mat @ mat).real), 0.0)
         counts.append(int(rng.poisson(n_per_setting * e * p)))
     return np.array(counts)
@@ -246,7 +246,7 @@ def _reference_mle(record, max_iterations=5000, ll_tolerance=1e-10, dilution=0.5
     """The diluted R rho R loop that the barrier Newton solver replaced, on
     matrices, with einsum over the projector stack and its old defaults.  It
     ignores exposures and stops on a small likelihood change, not a gap."""
-    projs = np.stack([mat for _, mat in tomography_settings()])
+    projs = TOMO_PROJECTORS
     counts = record.counts.astype(float)
     total = counts.sum()
     fluxes = record.exposure * 4.0 * total / record.exposure.sum()
@@ -380,20 +380,6 @@ def test_mle_loop_closure_with_exposures():
         # sampling noise puts the truth below the maximum, never above it
         assert result.log_likelihood >= log_likelihood(truth, record)
         assert trace_norm(result.rho.mat - truth.mat) / 2 < 0.03
-
-
-def test_tomography_settings_returns_copies():
-    record = simulate_tomography(werner_noise(BELL, 0.98), 10**4, seed=3)
-    before = mle_reconstruct(record)
-    expected = [(label, mat.copy()) for label, mat in tomography_settings()]
-    for _, mat in tomography_settings():
-        mat[:] = 0.0
-    again = tomography_settings()
-    assert [label for label, _ in again] == [label for label, _ in expected]
-    assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(again, expected))
-    after = mle_reconstruct(record)
-    assert np.array_equal(after.rho.mat, before.rho.mat)
-    assert after.log_likelihood == before.log_likelihood
 
 
 def test_mle_singular_newton_system_ends_like_a_failed_line_search(monkeypatch):
