@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__
 from .discrimination import (
     EQUAL_PRIORS,
+    T_B_GUESS,
     _success,
     canonical_protocol,
     helstrom_bound,
@@ -232,16 +233,16 @@ def _decimal_range(lo: float, hi: float, step: float) -> list[float]:
     return [float(min(lo_d + i * step_d, hi_d)) for i in range(count + 1)]
 
 
-def _score_rows(probs: np.ndarray, guess: np.ndarray, cfg: ExperimentConfig):
+def _score_rows(probs: np.ndarray, cfg: ExperimentConfig):
     """Exact successes and sampled counts of every row, on a leading row axis.
 
     probs[row, k, r] holds the four outcome probabilities of the row's
-    protocol, whose guess map is guess[row] (or guess for every row), for state
-    r of the row's k-th pair.  Returns the (rows, pairs) successes at equal
-    priors, as ff_success_probability gives them, and, per row, the counts
-    drawn for its last pair with the row's seeds, their estimate and the seeds.
+    protocol, whose guess map is T_B_GUESS, for state r of the row's k-th pair.
+    Returns the (rows, pairs) successes at equal priors, as
+    ff_success_probability gives them, and, per row, the counts drawn for its
+    last pair with the row's seeds, their estimate and the seeds.
     """
-    success = _success(probs.reshape(-1, 2, 4), guess, EQUAL_PRIORS).reshape(probs.shape[:2])
+    success = _success(probs.reshape(-1, 2, 4), T_B_GUESS, EQUAL_PRIORS).reshape(probs.shape[:2])
     sampled = []
     for row, pair in enumerate(probs[:, -1]):
         seed0, seed1 = _row_seeds(cfg.master_seed, row)
@@ -256,49 +257,39 @@ def _score_rows(probs: np.ndarray, guess: np.ndarray, cfg: ExperimentConfig):
     return success, sampled
 
 
-def _phi_states(theta0: float, theta1: float, cfg: ExperimentConfig) -> tuple:
-    """phi0(theta0), phi1(theta1) and the two with the config's Werner noise."""
-    ideal0, ideal1 = phi0(theta0), phi1(theta1)
-    return ideal0, ideal1, werner_noise(ideal0, cfg.noise_v), werner_noise(ideal1, cfg.noise_v)
+def run_pair(cfg: ExperimentConfig) -> dict:
+    """Full comparison for a single orthogonal-family pair: a one-row grid."""
+    return {"pair": _grid_rows([(cfg.theta0_deg, cfg.theta1_deg)], cfg)[0]}
 
 
-def _pair_rows(angles: list, states: list, no_ff: list, cfg: ExperimentConfig) -> list[dict]:
-    """The rows of the (theta0, theta1) pairs: the Walgate protocols of the
-    ideal pairs, built together, scored and sampled on the noisy pairs."""
-    protocols = walgate_pairs([s[:2] for s in states])
-    probs = coincidence_probabilities(protocols, [s[2:] for s in states])
-    success, sampled = _score_rows(probs[:, None], np.array([p.guess_map for p in protocols]), cfg)
+def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
+    """The rows of the (theta0, theta1) pairs, in order.
+
+    The Walgate protocols of the ideal pairs phi0(theta0), phi1(theta1) are
+    built together and scored and sampled on the pairs with the config's
+    Werner noise; one optimize_pairs call searches every row's best
+    no-feed-forward measurement.
+    """
+    ideal = [(phi0(t0), phi1(t1)) for t0, t1 in angles]
+    noisy = [(werner_noise(a, cfg.noise_v), werner_noise(b, cfg.noise_v)) for a, b in ideal]
+    best = optimize_pairs(noisy, EQUAL_PRIORS)
+    probs = coincidence_probabilities(walgate_pairs(ideal), noisy)
+    success, sampled = _score_rows(probs[:, None], cfg)
     return [
         {
             "row_index": row,
             "theta0_deg": t0,
             "theta1_deg": t1,
             "ff_exact": float(ff),
-            "helstrom": helstrom_bound(s[2], s[3], EQUAL_PRIORS),
-            "no_ff_best": best,
-            "advantage": float(ff) - best,
+            "helstrom": helstrom_bound(*pair, EQUAL_PRIORS),
+            "no_ff_best": value,
+            "advantage": float(ff) - value,
             **drawn,
         }
-        for row, ((t0, t1), s, best, (ff,), drawn) in enumerate(
-            zip(angles, states, no_ff, success, sampled)
+        for row, ((t0, t1), pair, (_, value), (ff,), drawn) in enumerate(
+            zip(angles, noisy, best, success, sampled)
         )
     ]
-
-
-def run_pair(cfg: ExperimentConfig) -> dict:
-    """Full comparison for a single orthogonal-family pair."""
-    states = _phi_states(cfg.theta0_deg, cfg.theta1_deg, cfg)
-    _, no_ff = optimize_local_projective(*states[2:], EQUAL_PRIORS)
-    angles = [(cfg.theta0_deg, cfg.theta1_deg)]
-    return {"pair": _pair_rows(angles, [states], [no_ff], cfg)[0]}
-
-
-def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
-    """The rows of the (theta0, theta1) pairs, in order; one optimize_pairs call
-    searches every row's best no-feed-forward measurement."""
-    states = [_phi_states(t0, t1, cfg) for t0, t1 in angles]
-    best = optimize_pairs([s[2:] for s in states], EQUAL_PRIORS)
-    return _pair_rows(angles, states, [value for _, value in best], cfg)
 
 
 def run_grid(cfg: ExperimentConfig) -> dict:
@@ -327,7 +318,7 @@ def run_curve(cfg: ExperimentConfig) -> dict:
     # The one fixed protocol, built once, for all of the rows' states.
     protocol = canonical_protocol()
     probs = coincidence_probabilities([protocol], [[r for s in states for r in s]])
-    success, sampled = _score_rows(probs.reshape(-1, 2, 2, 4), protocol.guess_map, cfg)
+    success, sampled = _score_rows(probs.reshape(-1, 2, 2, 4), cfg)
     rows = []
     for row, (eta, s, (ff_ideal, ff_noisy), drawn) in enumerate(zip(etas, states, success, sampled)):
         rows.append({

@@ -52,6 +52,8 @@ class PriorPair:
 
 
 EQUAL_PRIORS = PriorPair(0.5, 0.5)
+# The T_b guess map: Bob's outcome 0 (T_b) guesses label 0, outcome 1 label 1.
+T_B_GUESS = read_only([[0, 1], [0, 1]])
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,9 @@ class FeedForwardProtocol:
         if bobs.shape != (2, 2, 2):
             raise InvalidProtocolError(f"expected 2 Bob bases, got shape {bobs.shape}")
         # One Gram check for all three bases: Alice's, then Bob's per Alice outcome.
+        # It is the one proof that the four product projectors resolve the
+        # identity: bases orthonormal within BASIS_ATOL put sum_o |k_o><k_o|
+        # within about 4 BASIS_ATOL of I, so no reader re-checks completeness.
         bases = np.concatenate([alice[None], bobs])
         error = np.abs(bases.conj() @ bases.transpose(0, 2, 1) - ID2).max(axis=(1, 2))
         bad = np.flatnonzero(~(error <= BASIS_ATOL))
@@ -273,9 +278,8 @@ def walgate_pairs(pairs) -> list[FeedForwardProtocol]:
     bob[:, :, 0] = np.where(on_phi, anchor, other)
     bob[:, :, 1] = np.where(on_phi, other, anchor)
     bob[dead[..., 0]] = ID2  # a branch that never fires: H/V
-    guess = np.array([[0, 1], [0, 1]])
     return [
-        FeedForwardProtocol(alice_basis=a, bob_bases=b, guess_map=guess)
+        FeedForwardProtocol(alice_basis=a, bob_bases=b, guess_map=T_B_GUESS)
         for a, b in zip(alice, bob)
     ]
 
@@ -296,8 +300,7 @@ def canonical_protocol() -> FeedForwardProtocol:
             [u_state(), u_perp_state()],
         ]
     )
-    guess = np.array([[0, 1], [0, 1]])
-    return FeedForwardProtocol(alice_basis=alice, bob_bases=bob, guess_map=guess)
+    return FeedForwardProtocol(alice_basis=alice, bob_bases=bob, guess_map=T_B_GUESS)
 
 
 def _product_kets(alice: np.ndarray, bobs: np.ndarray) -> np.ndarray:

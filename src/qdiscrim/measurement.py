@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discrimination import FeedForwardProtocol, _ket_probabilities, _product_kets
+from .discrimination import T_B_GUESS, FeedForwardProtocol, _ket_probabilities, _product_kets
 from .errors import EmptyCountsError, IncompletePOVMError, InvalidProtocolError
 from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, read_only
-from .states import DensityMatrix2Q
+from .states import NEGATIVE_EIG_TOL, DensityMatrix2Q
 
 COINCIDENCE_LABELS = ("TaTb", "TaRb", "RaTb", "RaRb")
 
@@ -137,7 +137,7 @@ def _require_t_b(protocol: FeedForwardProtocol) -> None:
     """Raise unless the protocol follows the T_b convention that ``estimate`` reads."""
     if not isinstance(protocol, FeedForwardProtocol):
         raise TypeError("expected a FeedForwardProtocol")
-    if protocol.guess_map.tolist() != [[0, 1], [0, 1]]:
+    if protocol.guess_map.tolist() != T_B_GUESS.tolist():
         raise InvalidProtocolError(
             f"guess_map {protocol.guess_map.tolist()} does not follow the T_b convention: "
             "Bob's outcome 0 (T_b) must guess label 0 and outcome 1 (R_b) label 1 "
@@ -153,19 +153,12 @@ def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarra
     COINCIDENCE_LABELS order.  ``estimate`` reads T_b as the label-0 guess,
     so a protocol whose guess_map is not [[0, 1], [0, 1]] raises
     InvalidProtocolError.  Each element is the outer product |k_o><k_o| of the
-    product ket k_o = alice_i (x) bob_ij that coincidence_probabilities reads.
+    product ket k_o = alice_i (x) bob_ij that coincidence_probabilities reads;
+    the elements sum to the identity because the protocol's Gram check passed.
     """
     _require_t_b(protocol)
     kets = _product_kets(protocol.alice_basis, protocol.bob_bases)
-    _require_complete(kets.T @ kets.conj())
     return list(zip(COINCIDENCE_LABELS, kets[:, :, None] * kets.conj()[:, None, :]))
-
-
-def _require_complete(total: np.ndarray) -> None:
-    """Raise unless every summed POVM in total is the identity within the tolerance."""
-    dev = np.abs(total - ID4).max()
-    if dev > POVM_COMPLETENESS_ATOL:
-        raise IncompletePOVMError(f"POVM elements sum deviates from identity by {dev:.3e}")
 
 
 def coincidence_probabilities(protocols, rhos) -> np.ndarray:
@@ -177,10 +170,9 @@ def coincidence_probabilities(protocols, rhos) -> np.ndarray:
     is Tr(rho_br Pi_o) for outcome o of protocol b, in COINCIDENCE_LABELS order.
     Each Pi_o is the projector on a product ket k_o = alice_i (x) bob_ij, so
     Tr(rho Pi_o) = <k_o|rho|k_o>, which _ket_probabilities reads for every
-    protocol and state at once.  protocol_to_povm's guards hold for each
-    protocol: a guess map other than [[0, 1], [0, 1]] raises
-    InvalidProtocolError, and kets whose projectors do not sum to the identity
-    within POVM_COMPLETENESS_ATOL raise IncompletePOVMError.
+    protocol and state at once.  As in protocol_to_povm, a guess map other
+    than [[0, 1], [0, 1]] raises InvalidProtocolError; the projectors sum to
+    the identity because each protocol's Gram check passed.
     """
     protocols, rhos = list(protocols), [list(row) for row in rhos]
     if len(rhos) != len(protocols) or len({len(row) for row in rhos}) > 1:
@@ -192,8 +184,6 @@ def coincidence_probabilities(protocols, rhos) -> np.ndarray:
     kets = _product_kets(
         np.array([p.alice_basis for p in protocols]), np.array([p.bob_bases for p in protocols])
     )
-    # sum_o |k_o><k_o| = K^T conj(K) for the kets K stacked as rows.
-    _require_complete(kets.transpose(0, 2, 1) @ kets.conj())
     mats = np.array([[rho.mat for rho in row] for row in rhos])
     return _ket_probabilities(kets, mats)
 
@@ -208,14 +198,18 @@ def sample_coincidences(
 
     Outcome probabilities are Tr(rho Pi) for the four POVM elements, and
     draw_coincidences draws the counts from them; identical seeds give
-    identical counts.  n_total must be an integer (not a bool) in
-    [1, MAX_COUNT] and seed a nonnegative one; anything else raises
-    ValueError before any draw.
+    identical counts.  The POVM need not come from a protocol, so this is the
+    one completeness check on a POVM: elements that do not sum to I within
+    POVM_COMPLETENESS_ATOL raise IncompletePOVMError.  n_total must be an
+    integer (not a bool) in [1, MAX_COUNT] and seed a nonnegative one;
+    anything else raises ValueError before any draw.
     """
     mats = [np.asarray(mat, dtype=complex) for _, mat in povm]
     if len(mats) != 4:
         raise ValueError(f"expected 4 POVM elements, got {len(mats)}")
-    _require_complete(np.sum(mats, axis=0))
+    dev = np.abs(np.sum(mats, axis=0) - ID4).max()
+    if dev > POVM_COMPLETENESS_ATOL:
+        raise IncompletePOVMError(f"POVM elements sum deviates from identity by {dev:.3e}")
     probs = np.array([float(np.trace(rho.mat @ mat).real) for mat in mats])
     return draw_coincidences(probs, n_total, seed)
 
@@ -233,14 +227,17 @@ def draw_coincidences(probs, n_total: int, seed: int) -> CoincidenceCounts:
     so identical seeds give identical counts.  Probabilities at or below
     1e-15 count as exactly 0 and the rest are normalised to sum 1.  n_total
     must be an integer (not a bool) in [1, MAX_COUNT], seed a nonnegative
-    integer, and probs four finite numbers with a positive sum; anything else
-    raises ValueError before any draw.
+    integer, and probs four finite numbers, none below -NEGATIVE_EIG_TOL (the
+    most negative <k|rho|k> a DensityMatrix2Q allows), with a positive sum;
+    anything else raises ValueError before any draw.
     """
     _require_integer(n_total, 1, MAX_COUNT, "n_total must be an integer in [1, 2**62]")
     _require_integer(seed, 0, np.inf, "seed must be a nonnegative integer")
     probs = np.array(probs, dtype=float)
     if probs.shape != (4,) or not np.isfinite(probs).all():
         raise ValueError(f"expected 4 finite outcome probabilities, got {probs.tolist()}")
+    if probs.min() < -NEGATIVE_EIG_TOL:
+        raise ValueError(f"outcome probabilities {probs.tolist()} have a negative entry")
     # An exactly zero probability comes out as rounding noise of either sign;
     # snap it to 0, since the multinomial draw uses the stream differently for
     # 0 than for 1e-19 and the counts would follow the last bits of the basis.

@@ -85,8 +85,9 @@ class MLEConfig:
         n = self.max_iterations
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"max_iterations must be a positive integer, got {n!r}")
-        if not 0.0 < self.gap_tolerance < np.inf:
-            raise ValueError("gap_tolerance must be positive and finite")
+        tol = self.gap_tolerance
+        if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
+            raise ValueError(f"gap_tolerance must be a positive finite number, got {tol!r}")
 
 
 @dataclass(frozen=True)

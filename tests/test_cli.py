@@ -583,6 +583,19 @@ def test_stacked_rows_match_the_per_protocol_scores(tmp_path, capsys):
         assert row["ff_noisy"] == want
 
 
+def test_pair_is_row_0_of_a_grid(tmp_path, capsys):
+    # Row 0 of every grid is theta = (0, 0), and both reports draw it with
+    # row 0's seeds.
+    config = {"master_seed": 21, "n_events": 5000, "noise_v": 0.95, "grid_step_deg": 45.0,
+              "theta0_deg": 0.0, "theta1_deg": 0.0}
+    code, out, _ = run_cli(tmp_path, capsys, "pair", config)
+    assert code == 0
+    pair = json.loads(out)["results"]["pair"]
+    code, out, _ = run_cli(tmp_path, capsys, "grid", config)
+    assert code == 0
+    assert pair == json.loads(out)["results"]["rows"][0]
+
+
 def test_grid_curve_and_pair_build_no_povm_and_sample_no_single_state(
     tmp_path, capsys, monkeypatch
 ):

@@ -25,6 +25,7 @@ from qdiscrim import (
     walgate_decompose,
     werner_noise,
 )
+from qdiscrim.discrimination import BASIS_ATOL, T_B_GUESS, _product_kets
 from qdiscrim.linalg import kron, projector
 from qdiscrim.measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
 
@@ -203,14 +204,31 @@ def test_coincidence_probabilities_keep_the_povm_guards():
     rhos = [[MIXED], [MIXED]]
     with pytest.raises(InvalidProtocolError, match="T_b convention"):
         coincidence_probabilities([good, swapped], rhos)
-    # A basis that drifted after the protocol was checked: its kets no longer
-    # resolve the identity.
-    broken = _random_t_b_protocol(rng)
-    object.__setattr__(broken, "bob_bases", broken.bob_bases * 1.001)
-    with pytest.raises(IncompletePOVMError):
-        coincidence_probabilities([good, broken], rhos)
     with pytest.raises(TypeError):
         coincidence_probabilities([good, "not a protocol"], rhos)
+
+
+def test_accepted_protocols_resolve_the_identity_up_to_the_gram_limit():
+    # The protocol's Gram check is the one completeness proof: no reader of its
+    # kets checks again that their projectors sum to I.  Bases perturbed up to
+    # the edge of BASIS_ATOL must still resolve it far inside 1e-9.
+    rng = np.random.default_rng(2406)
+    worst_gram, worst_sum, accepted = 0.0, 0.0, 0
+    for _ in range(3000):
+        bases = np.stack([random_unitary2(rng) for _ in range(3)])
+        noise = rng.normal(size=bases.shape + (2,)) @ [1.0, 1j]
+        bases = bases + 10.0 ** rng.uniform(-14.0, -11.5) * noise
+        try:
+            protocol = FeedForwardProtocol(bases[0], bases[1:], T_B_GUESS)
+        except InvalidProtocolError:
+            continue
+        accepted += 1
+        gram = np.abs(bases.conj() @ bases.transpose(0, 2, 1) - np.eye(2)).max()
+        kets = _product_kets(protocol.alice_basis, protocol.bob_bases)
+        worst_gram = max(worst_gram, gram)
+        worst_sum = max(worst_sum, np.abs(kets.T @ kets.conj() - np.eye(4)).max())
+    assert accepted >= 1000 and worst_gram > 0.9 * BASIS_ATOL
+    assert worst_sum <= 1e-11
 
 
 def test_sample_coincidences_is_a_draw_from_the_povm_probabilities():
@@ -244,6 +262,26 @@ def test_draw_coincidences_validates_before_any_draw(monkeypatch):
     for bad in ([0.5, 0.5, 0.0], [np.nan, 0.5, 0.25, 0.25], [0.0, 0.0, 1e-16, -0.1]):
         with pytest.raises(ValueError, match="probabilit"):
             draw_coincidences(bad, 10, seed=1)
+
+
+def test_draw_coincidences_refuses_negative_probabilities(monkeypatch):
+    # Rounding noise down to -NEGATIVE_EIG_TOL draws as 0; [-5, 1, 0, 0] used
+    # to draw as (0, 1000, 0, 0) too.
+    assert draw_coincidences([-1e-10, 1.0, 0.0, 0.0], 1000, seed=1).as_tuple() == (0, 1000, 0, 0)
+    # A POVM that sums to I with a negative element gives a negative probability.
+    povm = protocol_to_povm(canonical_protocol())
+    (label0, pi0), (label1, pi1) = povm[:2]
+    negative = [(label0, pi0 - 0.1 * pi1), (label1, 1.1 * pi1)] + povm[2:]
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made before the input was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for bad in ([-5.0, 1.0, 0.0, 0.0], [0.5, -1e-8, 0.25, 0.25]):
+        with pytest.raises(ValueError, match="negative entry"):
+            draw_coincidences(bad, 1000, seed=1)
+    with pytest.raises(ValueError, match="negative entry"):
+        sample_coincidences(DensityMatrix2Q(pi1), negative, 1000, seed=1)
 
 
 def test_draw_coincidences_snaps_and_normalises_without_touching_its_input():

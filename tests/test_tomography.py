@@ -212,6 +212,10 @@ def test_mle_config_validation():
     for bad in ({"gap_tolerance": 0.0}, {"gap_tolerance": np.inf}, {"max_iterations": 0}):
         with pytest.raises(ValueError):
             MLEConfig(**bad)
+    # True used to pass as a tolerance of 1.0.
+    for bad in (True, np.bool_(True), False):
+        with pytest.raises(ValueError, match="gap_tolerance"):
+            MLEConfig(gap_tolerance=bad)
     # A float cap used to pass, and iterations == max_iterations never fired.
     for bad in (1.5, 2.5, 5.0, True, False, np.float64(5.0), "5", None):
         with pytest.raises(ValueError, match="max_iterations"):
