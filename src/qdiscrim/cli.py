@@ -39,6 +39,7 @@ from .discrimination import (
     _success,
     canonical_protocol,
     helstrom_bound,
+    helstrom_bounds,
     optimize_local_projective,
     optimize_pairs,
     walgate_pairs,
@@ -51,15 +52,20 @@ from .measurement import (
     estimate,
     simulate_tomography,
 )
+from .linalg import checked_rows, projector
 from .states import (
     DensityMatrix2Q,
     PureState2Q,
+    _densities,
     complex_to_pairs,
     fidelity_pure,
     phi0,
     phi1,
+    phi_pairs,
     psi_pair,
+    psi_pairs,
     tangle,
+    werner_mixtures,
     werner_noise,
 )
 from .tomography import MLEConfig, mle_reconstruct
@@ -265,29 +271,32 @@ def run_pair(cfg: ExperimentConfig) -> dict:
 def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
     """The rows of the (theta0, theta1) pairs, in order.
 
-    The Walgate protocols of the ideal pairs phi0(theta0), phi1(theta1) are
-    built together and scored and sampled on the pairs with the config's
-    Werner noise; one optimize_pairs call searches every row's best
-    no-feed-forward measurement.
+    The Walgate protocols of the ideal pairs phi0(theta0), phi1(theta1) are built
+    together and scored and sampled on their Werner mixtures, checked as one stack;
+    optimize_pairs and helstrom_bounds each take every row at once.
     """
-    ideal = [(phi0(t0), phi1(t1)) for t0, t1 in angles]
-    noisy = [(werner_noise(a, cfg.noise_v), werner_noise(b, cfg.noise_v)) for a, b in ideal]
-    best = optimize_pairs(noisy, EQUAL_PRIORS)
-    probs = coincidence_probabilities(walgate_pairs(ideal), noisy)
+    ideal = phi_pairs(*zip(*angles))
+    noisy = _densities(werner_mixtures(ideal, cfg.noise_v))
+    rhos = checked_rows(DensityMatrix2Q, noisy.reshape(-1, 4, 4))
+    pairs = list(zip(rhos[::2], rhos[1::2]))
+    best = optimize_pairs(pairs, EQUAL_PRIORS)
+    probs = coincidence_probabilities(
+        walgate_pairs([(PureState2Q(a), PureState2Q(b)) for a, b in ideal]), pairs)
     success, sampled = _score_rows(probs[:, None], cfg)
+    helstrom = helstrom_bounds(noisy[:, 0], noisy[:, 1], EQUAL_PRIORS).tolist()
     return [
         {
             "row_index": row,
             "theta0_deg": t0,
             "theta1_deg": t1,
             "ff_exact": float(ff),
-            "helstrom": helstrom_bound(*pair, EQUAL_PRIORS),
+            "helstrom": bound,
             "no_ff_best": value,
             "advantage": float(ff) - value,
             **drawn,
         }
-        for row, ((t0, t1), pair, (_, value), (ff,), drawn) in enumerate(
-            zip(angles, noisy, best, success, sampled)
+        for row, ((t0, t1), bound, (_, value), (ff,), drawn) in enumerate(
+            zip(angles, helstrom, best, success, sampled)
         )
     ]
 
@@ -308,26 +317,25 @@ def run_curve(cfg: ExperimentConfig) -> dict:
     is built once and scores every row's pairs together.
     """
     etas = _decimal_range(cfg.eta_min_deg, cfg.eta_max_deg, cfg.eta_step_deg)
-    states = []
-    for eta in etas:
-        ideal0, ideal1 = psi_pair(eta)
-        states.append((ideal0.density(), ideal1.density(),
-                       werner_noise(ideal0, cfg.noise_v), werner_noise(ideal1, cfg.noise_v)))
-    pairs = [pair for s in states for pair in (s[:2], s[2:])]
-    best = [value for _, value in optimize_pairs(pairs, EQUAL_PRIORS)]
+    ideal = psi_pairs(etas)
+    # mats[row, kind, state]: the ideal pair (kind 0) and the noisy pair (kind 1).
+    mats = _densities(np.stack([projector(ideal), werner_mixtures(ideal, cfg.noise_v)], axis=1))
+    rhos = checked_rows(DensityMatrix2Q, mats.reshape(-1, 4, 4))
+    best = [value for _, value in optimize_pairs(zip(rhos[::2], rhos[1::2]), EQUAL_PRIORS)]
     # The one fixed protocol, built once, for all of the rows' states.
     protocol = canonical_protocol()
-    probs = coincidence_probabilities([protocol], [[r for s in states for r in s]])
+    probs = coincidence_probabilities([protocol], [rhos])
     success, sampled = _score_rows(probs.reshape(-1, 2, 2, 4), cfg)
+    helstrom = helstrom_bounds(mats[:, :, 0], mats[:, :, 1], EQUAL_PRIORS).tolist()
     rows = []
-    for row, (eta, s, (ff_ideal, ff_noisy), drawn) in enumerate(zip(etas, states, success, sampled)):
+    for row, (eta, bound, ff, drawn) in enumerate(zip(etas, helstrom, success, sampled)):
         rows.append({
             "row_index": row,
             "eta_deg": eta,
-            "helstrom_ideal": helstrom_bound(s[0], s[1], EQUAL_PRIORS),
-            "helstrom_noisy": helstrom_bound(s[2], s[3], EQUAL_PRIORS),
-            "ff_ideal": float(ff_ideal),
-            "ff_noisy": float(ff_noisy),
+            "helstrom_ideal": bound[0],
+            "helstrom_noisy": bound[1],
+            "ff_ideal": float(ff[0]),
+            "ff_noisy": float(ff[1]),
             "no_ff_ideal": best[2 * row],
             "no_ff_noisy": best[2 * row + 1],
             "estimate": drawn["estimate"],

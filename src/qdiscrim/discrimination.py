@@ -81,22 +81,37 @@ class FeedForwardProtocol:
         bobs = np.asarray(self.bob_bases, dtype=complex)
         if bobs.shape != (2, 2, 2):
             raise InvalidProtocolError(f"expected 2 Bob bases, got shape {bobs.shape}")
-        # One Gram check for all three bases: Alice's, then Bob's per Alice outcome.
-        # It is the one proof that the four product projectors resolve the
-        # identity: bases orthonormal within BASIS_ATOL put sum_o |k_o><k_o|
-        # within about 4 BASIS_ATOL of I, so no reader re-checks completeness.
-        bases = np.concatenate([alice[None], bobs])
-        error = np.abs(bases.conj() @ bases.transpose(0, 2, 1) - ID2).max(axis=(1, 2))
-        bad = np.flatnonzero(~(error <= BASIS_ATOL))
-        if bad.size:
-            what = "Alice basis" if bad[0] == 0 else f"Bob basis for Alice outcome {bad[0] - 1}"
-            raise InvalidProtocolError(f"{what} is not orthonormal within {BASIS_ATOL}")
         guess = np.asarray(self.guess_map)
-        if guess.shape != (2, 2) or not ((guess == 0) | (guess == 1)).all():
-            raise InvalidProtocolError("guess_map must be a 2x2 array of labels 0/1")
+        _check_protocol(alice, bobs, guess)
         object.__setattr__(self, "alice_basis", read_only(alice))
         object.__setattr__(self, "bob_bases", read_only(bobs))
         object.__setattr__(self, "guess_map", read_only(guess, int))
+
+
+def _check_protocol(alice: np.ndarray, bobs: np.ndarray, guess: np.ndarray) -> None:
+    """FeedForwardProtocol's check of one protocol or whole stacks.  Its Gram check of
+    Alice's basis and Bob's per Alice outcome is the one proof that the four product
+    projectors resolve the identity, to within about 4 BASIS_ATOL."""
+    bases = np.concatenate([alice[..., None, :, :], bobs], axis=-3)
+    error = np.abs(bases.conj() @ bases.swapaxes(-1, -2) - ID2).max(axis=(-2, -1))
+    bad = ~(error <= BASIS_ATOL)
+    if bad.any():
+        j = bad.argmax() % 3
+        what = "Alice basis" if j == 0 else f"Bob basis for Alice outcome {j - 1}"
+        raise InvalidProtocolError(f"{what} is not orthonormal within {BASIS_ATOL}")
+    if guess.shape != alice.shape or not ((guess == 0) | (guess == 1)).all():
+        raise InvalidProtocolError("guess_map must be a 2x2 array of labels 0/1")
+
+
+def _protocols(alice: np.ndarray, bobs: np.ndarray, guess: np.ndarray) -> list:
+    """FeedForwardProtocols of the caller's own stacks, checked at once, first fault first."""
+    try:
+        _check_protocol(alice, bobs, guess)
+    except InvalidProtocolError:
+        for one in zip(alice, bobs, guess):
+            _check_protocol(*one)
+        raise
+    return linalg.checked_rows(FeedForwardProtocol, alice, bobs, guess)
 
 
 @dataclass(frozen=True)
@@ -278,10 +293,7 @@ def walgate_pairs(pairs) -> list[FeedForwardProtocol]:
     bob[:, :, 0] = np.where(on_phi, anchor, other)
     bob[:, :, 1] = np.where(on_phi, other, anchor)
     bob[dead[..., 0]] = ID2  # a branch that never fires: H/V
-    return [
-        FeedForwardProtocol(alice_basis=a, bob_bases=b, guess_map=T_B_GUESS)
-        for a, b in zip(alice, bob)
-    ]
+    return _protocols(alice, bob, T_B_GUESS[None].repeat(len(w), axis=0))
 
 
 def canonical_protocol() -> FeedForwardProtocol:
@@ -360,11 +372,15 @@ def helstrom_bound(
     """Minimum-error bound (1 + || p0 rho0 - p1 rho1 ||_1) / 2.
 
     For equiprobable pure states this reduces to
-    (1 + sqrt(1 - |<psi0|psi1>|^2)) / 2.
+    (1 + sqrt(1 - |<psi0|psi1>|^2)) / 2.  This is helstrom_bounds on one pair.
     """
     _check_priors(priors)
-    delta = priors.p0 * rho0.mat - priors.p1 * rho1.mat
-    return 0.5 * (1.0 + linalg.trace_norm(delta))
+    return float(helstrom_bounds(rho0.mat, rho1.mat, priors))
+
+
+def helstrom_bounds(mats0: np.ndarray, mats1: np.ndarray, priors: PriorPair):
+    """helstrom_bound of each pair of (..., 4, 4) density matrices, in one eigh call."""
+    return 0.5 * (1.0 + linalg.trace_norm(priors.p0 * mats0 - priors.p1 * mats1))
 
 
 # A Newton system whose determinant is below this share of its scale squared
@@ -561,8 +577,8 @@ def optimize_pairs(
     The pairs go through the search in stacks of up to 64: one einsum gives
     their correlation tables, and the grid stage, the polish, the choice of
     Bob's direction, the guesses and the values each run once on a leading
-    pair axis.  Every pair keeps its own stopping rule, so a pair's result is
-    the one it gets alone.  Only the FeedForwardProtocol is made per pair.
+    pair axis, and so does the protocols' Gram check.  Every pair keeps its
+    own stopping rule, so a pair's result is the one it gets alone.
     """
     _check_priors(priors)
     cfg = config or OptimizerConfig()
@@ -596,10 +612,7 @@ def _optimize_block(pairs: list, priors: PriorPair, cfg: OptimizerConfig) -> lis
     ua, bobs = bases[:, 0], bases[:, [1, 1]]
     q = _ket_probabilities(_product_kets(ua, bobs), rhos)
     assignment = np.where(priors.p0 * q[:, 0] >= priors.p1 * q[:, 1], 0, 1).reshape(-1, 2, 2)
-    return [
-        (FeedForwardProtocol(alice_basis=a, bob_bases=b, guess_map=guess), float(value))
-        for a, b, guess, value in zip(ua, bobs, assignment, _success(q, assignment, priors))
-    ]
+    return list(zip(_protocols(ua, bobs, assignment), _success(q, assignment, priors).tolist()))
 
 
 def advantage(

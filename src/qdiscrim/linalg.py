@@ -41,6 +41,16 @@ def read_only(arr, dtype=None) -> np.ndarray:
     return out
 
 
+def checked_rows(cls, *stacks) -> list:
+    """A ``cls`` for each row of the caller's checked field stacks, made read-only."""
+    out = [object.__new__(cls) for _ in stacks[0]]
+    for name, stack in zip(cls.__dataclass_fields__, stacks):
+        stack.flags.writeable = False
+        for obj, row in zip(out, stack):
+            obj.__dict__[name] = row
+    return out
+
+
 # The Pauli matrices I, X, Y, Z, stacked (4, 2, 2) and read-only; Z is the
 # phase flip H -> H, V -> -V.
 PAULIS = read_only([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -49,8 +59,8 @@ PAULI_Z = PAULIS[3]
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose, of every matrix of a (..., n, n) stack."""
+    return np.asarray(m).conj().swapaxes(-1, -2)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -59,9 +69,9 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def projector(v: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |v><v| of a (not necessarily normalised) vector."""
+    """Rank-1 projector |v><v| of a (not necessarily normalised) vector, or stack."""
     v = np.asarray(v, dtype=complex)
-    return np.outer(v, v.conj())
+    return v[..., :, None] * v.conj()[..., None, :]
 
 
 def perp2(v: np.ndarray) -> np.ndarray:
@@ -79,13 +89,13 @@ def perp2(v: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray) -> np.ndarray:
-    """Return the exactly symmetrised copy of ``m``, or raise NotHermitianError."""
+    """The exactly symmetrised copy of a matrix or (..., n, n) stack, or NotHermitianError."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotHermitianError("matrix contains non-finite entries")
-    dev = np.abs(m - dagger(m)).max()
+    dev = np.abs(m - dagger(m)).max(initial=0.0)
     if dev > HERMITIAN_ATOL:
         raise NotHermitianError(f"matrix deviates from hermiticity by {dev:.3e}")
     return (m + dagger(m)) / 2.0
@@ -93,10 +103,10 @@ def require_hermitian(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each of a stack.
 
-    eigenvalues are real and ascending; eigenvectors[:, k] is a unit
-    eigenvector of eigenvalues[k], as LAPACK returns it.
+    eigenvalues are real and ascending; eigenvectors[..., :, k] is a unit
+    eigenvector of eigenvalues[..., k], as LAPACK returns it.
     """
 
     eigenvalues: np.ndarray
@@ -104,7 +114,7 @@ class HermitianEig:
 
 
 def hermitian_eig(m: np.ndarray) -> HermitianEig:
-    """Diagonalise a Hermitian matrix with LAPACK's ``np.linalg.eigh``.
+    """Diagonalise a Hermitian matrix, or each of a stack, with LAPACK's ``np.linalg.eigh``.
 
     The input is checked and symmetrised by require_hermitian.
 
@@ -114,6 +124,6 @@ def hermitian_eig(m: np.ndarray) -> HermitianEig:
     return HermitianEig(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix."""
-    return float(np.abs(hermitian_eig(m).eigenvalues).sum())
+def trace_norm(m: np.ndarray):
+    """Trace norm (sum of absolute eigenvalues) of a Hermitian matrix, or of each of a stack."""
+    return np.abs(hermitian_eig(m).eigenvalues).sum(axis=-1)

@@ -81,20 +81,36 @@ class DensityMatrix2Q:
         m = np.asarray(self.mat, dtype=complex)
         if m.shape != (4, 4):
             raise InvalidDensityError(f"expected a 4x4 matrix, got shape {m.shape}")
-        try:
-            m = linalg.require_hermitian(m)
-        except NotHermitianError as exc:
-            raise InvalidDensityError(str(exc)) from exc
-        trace_dev = abs(m.trace().real - 1.0)
-        if trace_dev > DENSITY_ATOL:
-            raise InvalidDensityError(f"trace deviates from 1 by {trace_dev:.3e}")
-        min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -NEGATIVE_EIG_TOL:
-            raise InvalidDensityError(f"negative eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "mat", read_only(m))
+        object.__setattr__(self, "mat", _density(m))
 
     def to_json(self) -> list:
         return complex_to_pairs(self.mat)
+
+
+def _density(mats: np.ndarray) -> np.ndarray:
+    """DensityMatrix2Q's check of one matrix or a whole stack: its read-only symmetrised copy."""
+    try:
+        m = linalg.require_hermitian(mats)
+    except NotHermitianError as exc:
+        raise InvalidDensityError(str(exc)) from exc
+    trace_dev = abs(m.trace(axis1=-2, axis2=-1).real - 1.0)
+    min_eig = np.linalg.eigvalsh(m)[..., 0]  # eigvalsh sorts ascending
+    bad = (trace_dev > DENSITY_ATOL) | (min_eig < -NEGATIVE_EIG_TOL)
+    if bad.any() if bad.ndim else bad:  # .any() of one matrix's numpy bool costs microseconds
+        if (trace_dev > DENSITY_ATOL).any():
+            raise InvalidDensityError(f"trace deviates from 1 by {trace_dev.max():.3e}")
+        raise InvalidDensityError(f"negative eigenvalue {min_eig.min():.3e}")
+    return read_only(m)
+
+
+def _densities(mats: np.ndarray) -> np.ndarray:
+    """_density of a (..., 4, 4) stack; its first failing matrix raises its own error."""
+    try:
+        return _density(mats)
+    except InvalidDensityError:
+        for one in mats.reshape(-1, 4, 4):
+            _density(one)
+        raise
 
 
 def u_state() -> np.ndarray:
@@ -107,36 +123,44 @@ def u_perp_state() -> np.ndarray:
     return np.array([0.5, -np.sqrt(3.0) / 2.0], dtype=complex)
 
 
+def _family(thetas, a: np.ndarray, sign: float) -> np.ndarray:
+    """(B, 4) amplitudes cos(t)|H>(Z a) + sign sin(t)|V> a for angles in degrees."""
+    t = np.deg2rad([float(theta) for theta in thetas])[:, None]
+    return np.concatenate([np.cos(t) * (PAULI_Z @ a), sign * np.sin(t) * a], axis=1)
+
+
+def phi_pairs(theta0s, theta1s) -> np.ndarray:
+    """The (B, 2, 4) amplitudes of the pairs phi0(theta0s[b]), phi1(theta1s[b])."""
+    return np.stack([_family(theta0s, u_state(), 1.0), _family(theta1s, u_perp_state(), -1.0)], 1)
+
+
 def phi0(theta0_deg: float) -> PureState2Q:
     """First orthogonal-family state cos(t)|H>(Z|u>) + sin(t)|V>|u>."""
-    t = np.deg2rad(float(theta0_deg))
-    zu = PAULI_Z @ u_state()
-    vec = np.concatenate([np.cos(t) * zu, np.sin(t) * u_state()])
-    return PureState2Q(vec)
+    return PureState2Q(_family([theta0_deg], u_state(), 1.0)[0])
 
 
 def phi1(theta1_deg: float) -> PureState2Q:
     """Second orthogonal-family state cos(t)|H>(Z|u_perp>) - sin(t)|V>|u_perp>."""
-    t = np.deg2rad(float(theta1_deg))
-    zup = PAULI_Z @ u_perp_state()
-    vec = np.concatenate([np.cos(t) * zup, -np.sin(t) * u_perp_state()])
-    return PureState2Q(vec)
+    return PureState2Q(_family([theta1_deg], u_perp_state(), -1.0)[0])
+
+
+def psi_pairs(etas) -> np.ndarray:
+    """The (B, 2, 4) amplitudes of psi_pair(eta) for each eta of etas."""
+    for eta in etas:
+        if not 0.0 <= float(eta) <= 45.0:
+            raise ValueError(f"eta_deg must lie in [0, 45], got {eta}")
+    half = np.deg2rad(45.0 - np.array(etas, dtype=float))[:, None]
+    a, b = phi_pairs([60.0], [30.0])[0]
+    return np.stack([np.cos(half) * a + np.sin(half) * b, np.sin(half) * a + np.cos(half) * b], 1)
 
 
 def psi_pair(eta_deg: float) -> tuple[PureState2Q, PureState2Q]:
     """Non-orthogonal pair with squared overlap cos^2(2 eta).
 
     eta runs from 0 (identical states) to 45 degrees (orthogonal states,
-    where the pair reduces to phi0(60), phi1(30)).
+    where the pair reduces to phi0(60), phi1(30)): psi_pairs on one eta.
     """
-    eta = float(eta_deg)
-    if not np.isfinite(eta) or not 0.0 <= eta <= 45.0:
-        raise ValueError(f"eta_deg must lie in [0, 45], got {eta_deg}")
-    half = np.deg2rad(45.0 - eta)
-    a, b = phi0(60.0).vec, phi1(30.0).vec
-    psi0 = PureState2Q(np.cos(half) * a + np.sin(half) * b)
-    psi1 = PureState2Q(np.sin(half) * a + np.cos(half) * b)
-    return psi0, psi1
+    return tuple(PureState2Q(vec) for vec in psi_pairs([eta_deg])[0])
 
 
 def fidelity_pure(rho: DensityMatrix2Q, target: PureState2Q) -> float:
@@ -145,13 +169,17 @@ def fidelity_pure(rho: DensityMatrix2Q, target: PureState2Q) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def werner_noise(state: PureState2Q, v: float) -> DensityMatrix2Q:
-    """Isotropic (Werner-type) mixture v |psi><psi| + (1 - v) I/4."""
+def werner_mixtures(vecs, v: float) -> np.ndarray:
+    """The unchecked mixtures v |psi><psi| + (1 - v) I/4 of (..., 4) amplitudes."""
     v = float(v)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"visibility v must lie in [0, 1], got {v}")
-    mat = v * linalg.projector(state.vec) + (1.0 - v) * linalg.ID4 / 4.0
-    return DensityMatrix2Q(mat)
+    return v * linalg.projector(vecs) + (1.0 - v) * linalg.ID4 / 4.0
+
+
+def werner_noise(state: PureState2Q, v: float) -> DensityMatrix2Q:
+    """Isotropic (Werner-type) mixture v |psi><psi| + (1 - v) I/4."""
+    return DensityMatrix2Q(werner_mixtures(state.vec, v))
 
 
 def tangle(rho: DensityMatrix2Q) -> float:

@@ -44,6 +44,7 @@ rounding.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,7 @@ class MLEConfig:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError(f"max_iterations must be a positive integer, got {n!r}")
         tol = self.gap_tolerance
-        if isinstance(tol, (bool, np.bool_)) or not 0.0 < tol < np.inf:
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < np.inf:
             raise ValueError(f"gap_tolerance must be a positive finite number, got {tol!r}")
 
 

@@ -557,8 +557,8 @@ def test_grid_points_are_exact_decimals(monkeypatch):
 
 
 def test_stacked_rows_match_the_per_protocol_scores(tmp_path, capsys):
-    from qdiscrim import (canonical_protocol, ff_success_probability, phi0, phi1, psi_pair,
-                          walgate_decompose, werner_noise)
+    from qdiscrim import (canonical_protocol, ff_success_probability, helstrom_bound,
+                          hermitian_eig, phi0, phi1, psi_pair, walgate_decompose, werner_noise)
 
     config = {"master_seed": 5, "n_events": 1000, "noise_v": 0.93, "grid_step_deg": 30.0}
     code, out, _ = run_cli(tmp_path, capsys, "grid", config)
@@ -567,20 +567,71 @@ def test_stacked_rows_match_the_per_protocol_scores(tmp_path, capsys):
     code, out, _ = run_cli(tmp_path, capsys, "pair", config)
     assert code == 0
     rows.append(json.loads(out)["results"]["pair"])
+    deltas = []
     for row in rows:
         t0, t1 = row["theta0_deg"], row["theta1_deg"]
         protocol = walgate_decompose(phi0(t0), phi1(t1))
         noisy = werner_noise(phi0(t0), 0.93), werner_noise(phi1(t1), 0.93)
         assert row["ff_exact"] == ff_success_probability(protocol, *noisy)
+        assert row["helstrom"] == helstrom_bound(*noisy)
+        deltas.append(0.5 * noisy[0].mat - 0.5 * noisy[1].mat)
     code, out, _ = run_cli(tmp_path, capsys, "curve", config)
     assert code == 0
     for row in json.loads(out)["results"]["rows"]:
-        ideal = psi_pair(row["eta_deg"])
-        noisy = [werner_noise(state, 0.93) for state in ideal]
-        want = ff_success_probability(canonical_protocol(), *(s.density() for s in ideal))
-        assert row["ff_ideal"] == want
-        want = ff_success_probability(canonical_protocol(), *noisy)
-        assert row["ff_noisy"] == want
+        ideal = [state.density() for state in psi_pair(row["eta_deg"])]
+        noisy = [werner_noise(state, 0.93) for state in psi_pair(row["eta_deg"])]
+        assert row["ff_ideal"] == ff_success_probability(canonical_protocol(), *ideal)
+        assert row["ff_noisy"] == ff_success_probability(canonical_protocol(), *noisy)
+        assert row["helstrom_ideal"] == helstrom_bound(*ideal)
+        assert row["helstrom_noisy"] == helstrom_bound(*noisy)
+        deltas += [0.5 * ideal[0].mat - 0.5 * ideal[1].mat, 0.5 * noisy[0].mat - 0.5 * noisy[1].mat]
+    # The rows' bounds come from one eigensolver call on their stacked
+    # operators, which gives each operator its decomposition alone.
+    stacked = hermitian_eig(np.array(deltas))
+    for delta, values, vectors in zip(deltas, stacked.eigenvalues, stacked.eigenvectors):
+        alone = hermitian_eig(delta)
+        assert np.array_equal(values, alone.eigenvalues)
+        assert np.array_equal(vectors, alone.eigenvectors)
+
+
+def test_grid_and_curve_rows_build_and_check_their_objects_as_stacks(
+    tmp_path, capsys, monkeypatch
+):
+    # No row runs the DensityMatrix2Q or FeedForwardProtocol constructor's
+    # check, and the eigensolver calls of a command do not grow with its rows.
+    from collections import Counter
+
+    from qdiscrim import DensityMatrix2Q, FeedForwardProtocol
+
+    calls = Counter()
+
+    def count(owner, name, key):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(DensityMatrix2Q, "__post_init__", "density")
+    count(FeedForwardProtocol, "__post_init__", "protocol")
+    count(np.linalg, "eigh", "eig")
+    count(np.linalg, "eigvalsh", "eig")
+    seen = {}
+    for experiment, config, rows in (
+        ("grid", {"master_seed": 7}, 49),
+        ("grid", {"master_seed": 7, "grid_step_deg": 45.0}, 9),
+        ("curve", {"master_seed": 7}, 10),
+        ("curve", {"master_seed": 7, "eta_step_deg": 15.0}, 4),
+    ):
+        calls.clear()
+        code, out, _ = run_cli(tmp_path, capsys, experiment, config)
+        assert code == 0 and len(json.loads(out)["results"]["rows"]) == rows
+        seen[experiment, rows] = dict(calls)
+    # curve builds its one fixed protocol with the constructor.
+    assert seen["grid", 49] == seen["grid", 9] == {"eig": 2}
+    assert seen["curve", 10] == seen["curve", 4] == {"eig": 2, "protocol": 1}
 
 
 def test_pair_is_row_0_of_a_grid(tmp_path, capsys):

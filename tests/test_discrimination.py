@@ -387,6 +387,68 @@ def test_protocol_validation_names_the_fault(alice, bobs, guess, message):
         FeedForwardProtocol(alice_basis=alice, bob_bases=np.array(bobs), guess_map=np.array(guess))
 
 
+def _protocol_rejection(alices, bobs, guesses, stacked: bool):
+    """The message a protocol (or, stacked, a stack of them) is refused with, or None."""
+    try:
+        if stacked:
+            discrimination._protocols(alices, bobs, guesses)
+        else:
+            FeedForwardProtocol(alice_basis=alices, bob_bases=bobs, guess_map=guesses)
+    except InvalidProtocolError as exc:
+        return str(exc)
+    return None
+
+
+def _protocol_stack(row: int, alice, bobs, guess):
+    """Five canonical protocols with (alice, bobs, guess) at row and, past it,
+    one with a skew Alice basis."""
+    good = canonical_protocol()
+    stack = [np.array([x] * 5, dtype=complex if x.dtype.kind == "c" else float)
+             for x in (good.alice_basis, good.bob_bases, good.guess_map)]
+    if row < 4:
+        stack[0][4] = _SKEW
+    for part, bad in zip(stack, (alice, bobs, guess)):
+        part[row] = bad
+    return stack
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize(
+    "alice, bobs, guess",
+    [
+        (_EYE, [_SKEW, _EYE], [[0, 1], [0, 1]]),
+        (_EYE, [_EYE, _SKEW], [[0, 1], [0, 1]]),
+        (_EYE * np.nan, [_EYE, _EYE], [[0, 1], [0, 1]]),
+        (_EYE, [_EYE, _EYE], [[0, 1], [0, 2]]),
+        (_EYE, [_EYE, _EYE], [[0, 1], [0.5, 1]]),
+    ],
+    ids=["bob0", "bob1", "nan", "label-2", "label-0.5"],
+)
+def test_a_protocol_stack_names_its_first_bad_protocol_as_the_constructor_does(
+    row, alice, bobs, guess
+):
+    want = _protocol_rejection(alice, np.array(bobs), np.array(guess), stacked=False)
+    assert want is not None
+    got = _protocol_rejection(*_protocol_stack(row, alice, bobs, guess), stacked=True)
+    assert got == want
+
+
+@pytest.mark.parametrize("error, accepted", [(0.9e-12, True), (1.1e-12, False)])
+@pytest.mark.parametrize("slot", [0, 1, 2], ids=["alice", "bob0", "bob1"])
+def test_the_protocol_stack_check_keeps_the_basis_tolerance(error, accepted, slot):
+    # Unit rows whose overlap, the Gram matrix's largest error, is exactly error.
+    skew = np.array([[1.0, 0.0], [error, 1.0]], dtype=complex)
+    bases = [_EYE, _EYE, _EYE]
+    bases[slot] = skew
+    guess = np.array([[0, 1], [0, 1]])
+    want = _protocol_rejection(bases[0], np.array(bases[1:]), guess, stacked=False)
+    assert (want is None) == accepted
+    for row in (0, 2, 4):
+        stack = _protocol_stack(row, bases[0], bases[1:], guess)
+        stack[0][4 if row < 4 else 0] = _EYE  # no second fault
+        assert _protocol_rejection(*stack, stacked=True) == want
+
+
 # ---------------------------------------------------------------- product (no feed-forward)
 
 

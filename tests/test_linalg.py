@@ -12,6 +12,7 @@ from qdiscrim.linalg import (
     PAULI_Z,
     perp2,
     projector,
+    require_hermitian,
 )
 
 
@@ -117,6 +118,37 @@ def test_eig_rejects_non_hermitian():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.full((4, 4), np.nan))
+
+
+def test_a_stack_is_diagonalised_as_its_matrices_are_alone(rng):
+    # Hermitian 4x4 and 2x2 stacks, with a leading axis or two, and the
+    # degenerate spectra of projectors.
+    g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+    stacks = [g + g.conj().swapaxes(1, 2), projector(g[:, 0]).reshape(2, 3, 4, 4),
+              (g + g.conj().swapaxes(1, 2))[:, :2, :2]]
+    for stack in stacks:
+        eig, norms = hermitian_eig(stack), trace_norm(stack)
+        sym = require_hermitian(stack)
+        for index in np.ndindex(stack.shape[:-2]):
+            alone = hermitian_eig(stack[index])
+            assert np.array_equal(eig.eigenvalues[index], alone.eigenvalues)
+            assert np.array_equal(eig.eigenvectors[index], alone.eigenvectors)
+            assert norms[index] == trace_norm(stack[index])
+            assert np.array_equal(sym[index], require_hermitian(stack[index]))
+
+
+def test_a_stack_fails_the_hermiticity_check_with_any_of_its_matrices():
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    for bad, message in ((skew, r"deviates from hermiticity by 2\.000e\+00"),
+                         (np.full((2, 2), np.inf), "non-finite entries")):
+        for row in (0, 2, 4):
+            stack = np.array([np.eye(2, dtype=complex)] * 5)
+            stack[row] = bad
+            stack[(row + 1) % 5] = 2.0 * skew  # the largest deviation
+            with pytest.raises(NotHermitianError, match=message):
+                require_hermitian(stack)
+    with pytest.raises(NotHermitianError, match="square"):
+        require_hermitian(np.zeros((3, 2, 4)))
 
 
 def test_trace_norm_known_values():

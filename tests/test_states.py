@@ -14,6 +14,7 @@ from qdiscrim import (
     u_state,
     werner_noise,
 )
+from qdiscrim import states
 from qdiscrim.linalg import PAULI_Y, projector
 
 from conftest import apply_local, random_density, random_pure, random_unitary2
@@ -176,3 +177,82 @@ def test_density_json_is_re_im_pairs():
     assert len(data) == 4 and len(data[0]) == 4 and len(data[0][0]) == 2
     assert data[0][0][0] == pytest.approx(rho.mat[0, 0].real)
     assert data[0][0][1] == pytest.approx(0.0)
+
+
+def test_stacked_constructors_give_the_one_item_vectors_bit_for_bit():
+    angles = [(0.0, 90.0), (30.0, 60.0), (12.5, 77.3), (90.0, 0.0)]
+    for (t0, t1), (v0, v1) in zip(angles, states.phi_pairs(*zip(*angles))):
+        assert np.array_equal(v0, phi0(t0).vec) and np.array_equal(v1, phi1(t1).vec)
+    etas = [0.0, 7.5, 22.5, 31.1, 45.0]
+    a, b = phi0(60.0).vec, phi1(30.0).vec
+    for eta, (v0, v1) in zip(etas, states.psi_pairs(etas)):
+        # psi_pair's formula before the fixed pair was built once per stack.
+        half = np.deg2rad(45.0 - eta)
+        assert np.array_equal(v0, np.cos(half) * a + np.sin(half) * b)
+        assert np.array_equal(v1, np.sin(half) * a + np.cos(half) * b)
+        assert all(np.array_equal(x.vec, y) for x, y in zip(psi_pair(eta), (v0, v1)))
+    with pytest.raises(ValueError, match="got 46"):
+        states.psi_pairs([10.0, 46, -1.0])
+
+
+def _rejection(make, item):
+    """The message of the InvalidDensityError make(item) raises, or None."""
+    try:
+        make(item)
+    except InvalidDensityError as exc:
+        return str(exc)
+    return None
+
+
+def _stack_with(good, row, bad, later):
+    """Five copies of good with bad at row and, past it, a different bad item."""
+    stack = np.array([good] * 5, dtype=complex)
+    if row < 4:
+        stack[4] = later
+    stack[row] = bad
+    return stack
+
+
+_MIXED = np.eye(4, dtype=complex) / 4.0
+_NONHERM = _MIXED.copy()
+_NONHERM[0, 1] = 0.1
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize(
+    "bad",
+    [np.eye(4, dtype=complex), np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), _NONHERM,
+     np.full((4, 4), np.nan, dtype=complex)],
+    ids=["trace", "negative", "non-hermitian", "nan"],
+)
+def test_a_density_stack_names_its_first_bad_matrix_as_the_constructor_does(row, bad):
+    want = _rejection(DensityMatrix2Q, bad)
+    assert want is not None
+    later = _NONHERM if bad is not _NONHERM else np.eye(4, dtype=complex)
+    assert _rejection(states._densities, _stack_with(_MIXED, row, bad, later)) == want
+
+
+def _edge_matrix(kind: str, size: float, rng) -> np.ndarray:
+    if kind == "eigenvalue":
+        # A rotated spectrum whose smallest eigenvalue is -size.
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        return q @ np.diag([0.5 + size, 0.5, 0.0, -size]) @ q.conj().T
+    mat = _MIXED.copy()
+    mat[0, 1] += size  # deviates from hermiticity by size
+    return mat
+
+
+@pytest.mark.parametrize(
+    "kind, size, accepted",
+    [("eigenvalue", 0.9e-9, True), ("eigenvalue", 1.1e-9, False),
+     ("hermiticity", 0.9e-10, True), ("hermiticity", 1.1e-10, False)],
+)
+def test_the_density_stack_check_keeps_the_constructor_tolerances(kind, size, accepted, rng):
+    mat = _edge_matrix(kind, size, rng)
+    want = _rejection(DensityMatrix2Q, mat)
+    assert (want is None) == accepted
+    for row in (0, 2, 4):
+        stack = _stack_with(_MIXED, row, mat, _MIXED)
+        assert _rejection(states._densities, stack) == want
+        if accepted:
+            assert np.array_equal(states._densities(stack)[row], DensityMatrix2Q(mat).mat)

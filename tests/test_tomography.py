@@ -212,8 +212,9 @@ def test_mle_config_validation():
     for bad in ({"gap_tolerance": 0.0}, {"gap_tolerance": np.inf}, {"max_iterations": 0}):
         with pytest.raises(ValueError):
             MLEConfig(**bad)
-    # True used to pass as a tolerance of 1.0.
-    for bad in (True, np.bool_(True), False):
+    # True used to pass as a tolerance of 1.0; a string, None or a list used to
+    # raise TypeError from the comparison.
+    for bad in (True, np.bool_(True), False, "5", None, [1]):
         with pytest.raises(ValueError, match="gap_tolerance"):
             MLEConfig(gap_tolerance=bad)
     # A float cap used to pass, and iterations == max_iterations never fired.
