@@ -42,16 +42,13 @@ from .discrimination import (
     helstrom_bound,
     hollow_vector,
     optimize_local_projective,
-    optimize_pairs,
     walgate_decompose,
-    walgate_pairs,
 )
 from .measurement import (
     COINCIDENCE_LABELS,
     CoincidenceCounts,
     DiscriminationEstimate,
     TomographyRecord,
-    coincidence_probabilities,
     draw_coincidences,
     estimate,
     protocol_to_povm,
@@ -92,7 +89,6 @@ __all__ = [
     "TomographyRecord",
     "advantage",
     "canonical_protocol",
-    "coincidence_probabilities",
     "draw_coincidences",
     "estimate",
     "ff_success_probability",
@@ -104,7 +100,6 @@ __all__ = [
     "log_likelihood",
     "mle_reconstruct",
     "optimize_local_projective",
-    "optimize_pairs",
     "phi0",
     "phi1",
     "protocol_to_povm",
@@ -116,6 +111,5 @@ __all__ = [
     "u_perp_state",
     "u_state",
     "walgate_decompose",
-    "walgate_pairs",
     "werner_noise",
 ]

@@ -52,11 +52,12 @@ from .measurement import (
     estimate,
     simulate_tomography,
 )
-from .linalg import checked_rows, projector
+from .linalg import projector
 from .states import (
     DensityMatrix2Q,
     PureState2Q,
     _densities,
+    _unit,
     complex_to_pairs,
     fidelity_pure,
     phi0,
@@ -271,17 +272,14 @@ def run_pair(cfg: ExperimentConfig) -> dict:
 def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
     """The rows of the (theta0, theta1) pairs, in order.
 
-    The Walgate protocols of the ideal pairs phi0(theta0), phi1(theta1) are built
-    together and scored and sampled on their Werner mixtures, checked as one stack;
+    The ideal pairs phi0(theta0), phi1(theta1) and their Werner mixtures are each
+    checked as one stack, and the Walgate bases, scored and sampled on the mixtures,
     optimize_pairs and helstrom_bounds each take every row at once.
     """
-    ideal = phi_pairs(*zip(*angles))
+    ideal = _unit(phi_pairs(*zip(*angles)))
     noisy = _densities(werner_mixtures(ideal, cfg.noise_v))
-    rhos = checked_rows(DensityMatrix2Q, noisy.reshape(-1, 4, 4))
-    pairs = list(zip(rhos[::2], rhos[1::2]))
-    best = optimize_pairs(pairs, EQUAL_PRIORS)
-    probs = coincidence_probabilities(
-        walgate_pairs([(PureState2Q(a), PureState2Q(b)) for a, b in ideal]), pairs)
+    best = optimize_pairs(noisy, EQUAL_PRIORS)[3].tolist()
+    probs = coincidence_probabilities(*walgate_pairs(ideal), noisy)
     success, sampled = _score_rows(probs[:, None], cfg)
     helstrom = helstrom_bounds(noisy[:, 0], noisy[:, 1], EQUAL_PRIORS).tolist()
     return [
@@ -295,7 +293,7 @@ def _grid_rows(angles: list, cfg: ExperimentConfig) -> list[dict]:
             "advantage": float(ff) - value,
             **drawn,
         }
-        for row, ((t0, t1), bound, (_, value), (ff,), drawn) in enumerate(
+        for row, ((t0, t1), bound, value, (ff,), drawn) in enumerate(
             zip(angles, helstrom, best, success, sampled)
         )
     ]
@@ -320,11 +318,12 @@ def run_curve(cfg: ExperimentConfig) -> dict:
     ideal = psi_pairs(etas)
     # mats[row, kind, state]: the ideal pair (kind 0) and the noisy pair (kind 1).
     mats = _densities(np.stack([projector(ideal), werner_mixtures(ideal, cfg.noise_v)], axis=1))
-    rhos = checked_rows(DensityMatrix2Q, mats.reshape(-1, 4, 4))
-    best = [value for _, value in optimize_pairs(zip(rhos[::2], rhos[1::2]), EQUAL_PRIORS)]
+    best = optimize_pairs(mats.reshape(-1, 2, 4, 4), EQUAL_PRIORS)[3].tolist()
     # The one fixed protocol, built once, for all of the rows' states.
     protocol = canonical_protocol()
-    probs = coincidence_probabilities([protocol], [rhos])
+    probs = coincidence_probabilities(
+        protocol.alice_basis[None], protocol.bob_bases[None], mats.reshape(1, -1, 4, 4)
+    )
     success, sampled = _score_rows(probs.reshape(-1, 2, 2, 4), cfg)
     helstrom = helstrom_bounds(mats[:, :, 0], mats[:, :, 1], EQUAL_PRIORS).tolist()
     rows = []

@@ -26,7 +26,7 @@ from .errors import (
     NotOrthogonalError,
     NotTracelessError,
 )
-from .linalg import ID2, KET_H, KET_V, PAULIS, PAULI_Z, perp2, read_only
+from .linalg import ID2, KET_H, KET_V, PAULIS, PAULI_Z, complex_norm, perp2, read_only
 from .states import DensityMatrix2Q, PureState2Q, u_perp_state, u_state
 
 ORTHOGONALITY_ATOL = 1e-9
@@ -81,16 +81,19 @@ class FeedForwardProtocol:
         bobs = np.asarray(self.bob_bases, dtype=complex)
         if bobs.shape != (2, 2, 2):
             raise InvalidProtocolError(f"expected 2 Bob bases, got shape {bobs.shape}")
+        _check_protocol(alice, bobs)
         guess = np.asarray(self.guess_map)
-        _check_protocol(alice, bobs, guess)
+        if guess.shape != (2, 2) or not ((guess == 0) | (guess == 1)).all():
+            raise InvalidProtocolError("guess_map must be a 2x2 array of labels 0/1")
         object.__setattr__(self, "alice_basis", read_only(alice))
         object.__setattr__(self, "bob_bases", read_only(bobs))
         object.__setattr__(self, "guess_map", read_only(guess, int))
 
 
-def _check_protocol(alice: np.ndarray, bobs: np.ndarray, guess: np.ndarray) -> None:
-    """FeedForwardProtocol's check of one protocol or whole stacks.  Its Gram check of
-    Alice's basis and Bob's per Alice outcome is the one proof that the four product
+def _check_protocol(alice: np.ndarray, bobs: np.ndarray) -> None:
+    """FeedForwardProtocol's Gram check of one protocol's bases, or of (..., 2, 2) and
+    (..., 2, 2, 2) stacks of them, whose first failing basis raises.  Alice's basis
+    and Bob's per Alice outcome orthonormal is the one proof that the four product
     projectors resolve the identity, to within about 4 BASIS_ATOL."""
     bases = np.concatenate([alice[..., None, :, :], bobs], axis=-3)
     error = np.abs(bases.conj() @ bases.swapaxes(-1, -2) - ID2).max(axis=(-2, -1))
@@ -99,19 +102,6 @@ def _check_protocol(alice: np.ndarray, bobs: np.ndarray, guess: np.ndarray) -> N
         j = bad.argmax() % 3
         what = "Alice basis" if j == 0 else f"Bob basis for Alice outcome {j - 1}"
         raise InvalidProtocolError(f"{what} is not orthonormal within {BASIS_ATOL}")
-    if guess.shape != alice.shape or not ((guess == 0) | (guess == 1)).all():
-        raise InvalidProtocolError("guess_map must be a 2x2 array of labels 0/1")
-
-
-def _protocols(alice: np.ndarray, bobs: np.ndarray, guess: np.ndarray) -> list:
-    """FeedForwardProtocols of the caller's own stacks, checked at once, first fault first."""
-    try:
-        _check_protocol(alice, bobs, guess)
-    except InvalidProtocolError:
-        for one in zip(alice, bobs, guess):
-            _check_protocol(*one)
-        raise
-    return linalg.checked_rows(FeedForwardProtocol, alice, bobs, guess)
 
 
 @dataclass(frozen=True)
@@ -162,18 +152,6 @@ def hollow_vector(m: np.ndarray) -> np.ndarray:
     return _hollow_vectors(m[None])[0]
 
 
-def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x . y over the last axis of real (..., k) stacks, as a (..., 1) stack,
-    bit for bit as np.dot takes it for one pair of vectors."""
-    return (x[..., None, :] @ y[..., :, None])[..., 0]
-
-
-def _complex_norm(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm over the last axis of a complex (..., k) stack, kept as a
-    (..., 1) stack, bit for bit as it is taken for one vector."""
-    return np.sqrt(_dot(x.real, x.real) + _dot(x.imag, x.imag))
-
-
 def _hollow_vectors(m: np.ndarray) -> np.ndarray:
     """hollow_vector of every matrix of a (B, 2, 2) stack, as a (B, 2) stack.
 
@@ -205,25 +183,25 @@ def _hollow_vectors(m: np.ndarray) -> np.ndarray:
     if swap.any():
         a, b = np.where(swap[:, None], b, a), np.where(swap[:, None], a, b)
         zero = ~a.any(axis=1)  # m = 0
-    norm_a = np.sqrt(_dot(a, a))
+    norm_a = np.sqrt(np.vecdot(a, a))[:, None]
     if zero is not None:
         norm_a[zero] = 1.0
     u = a / norm_a
     # a x b / |a|, with b's part along a taken out first: the direction then
     # stays exact to rounding however nearly parallel a and b are.
-    n = _cross(u, b - _dot(b, u) * u)
+    n = _cross(u, b - np.vecdot(b, u)[:, None] * u)
     flat = ~n.any(axis=1)  # b is 0 or parallel to a, or m = 0
     if flat.any():
         n[flat] = _cross(u[flat], np.eye(3)[np.argmin(np.abs(u[flat]), axis=1)])
         if zero is not None:
             n[zero] = (0.0, 0.0, 1.0)
     # n_z >= 0; dividing by -|n| flips the sign exactly.
-    n /= np.copysign(np.sqrt(_dot(n, n)), n[:, 2:])
+    n /= np.copysign(np.sqrt(np.vecdot(n, n)), n[:, 2])[:, None]
     # The ket of n; with n_z >= 0 no component cancels.
     w = np.zeros((len(m), 2), dtype=complex)
     w.real[:, 0] = 1.0 + n[:, 2]
     w.real[:, 1], w.imag[:, 1] = n[:, 0], n[:, 1]
-    w /= _complex_norm(w)
+    w /= complex_norm(w)[:, None]
 
     residual = np.abs((w.conj()[:, None, :] @ m @ w[:, :, None])[:, 0, 0])
     limit = HOLLOW_RESIDUAL * np.maximum(1.0, peak)
@@ -247,22 +225,21 @@ def walgate_decompose(phi: PureState2Q, psi: PureState2Q) -> FeedForwardProtocol
     conditional; when both vanish the branch never fires and the
     computational basis is used.  This is walgate_pairs on one pair.
     """
-    return walgate_pairs([(phi, psi)])[0]
+    alice, bobs = walgate_pairs(np.array([(phi.vec, psi.vec)]))
+    return FeedForwardProtocol(alice_basis=alice[0], bob_bases=bobs[0], guess_map=T_B_GUESS)
 
 
-def walgate_pairs(pairs) -> list[FeedForwardProtocol]:
-    """walgate_decompose for every (phi, psi) of pairs, built together.
+def walgate_pairs(vecs: np.ndarray):
+    """The bases of walgate_decompose for every pair of a (B, 2, 4) amplitude
+    stack of unit vectors: Alice's (B, 2, 2) and Bob's (B, 2, 2, 2).
 
     The orthogonality gate, the hollow vectors, Bob's conditional states and
-    the choice of his bases each run once on a leading pair axis; every guard
-    still holds pair by pair, and the first pair that fails one raises.  No
-    step mixes pairs, so a pair's protocol is the one it gets alone.  Only
-    the FeedForwardProtocol, with its Gram check, is made per pair.
+    the choice of his bases each run once on the leading pair axis; every
+    guard still holds pair by pair, and the first pair that fails one raises.
+    No step mixes pairs, so a pair's bases are the ones it gets alone.  The
+    guess map is T_B_GUESS; the bases' Gram check is left to their reader.
     """
-    pairs = list(pairs)
-    if not pairs:
-        return []
-    vecs = np.array([(phi.vec, psi.vec) for phi, psi in pairs]).reshape(-1, 2, 2, 2)
+    vecs = vecs.reshape(-1, 2, 2, 2)
     f, g = vecs[:, 0], vecs[:, 1]
     overlap = np.abs((f.conj() * g).sum(axis=(1, 2)))
     close = overlap >= ORTHOGONALITY_ATOL
@@ -279,7 +256,7 @@ def walgate_pairs(pairs) -> list[FeedForwardProtocol]:
     # cond[b, s, i] is Bob's conditional state, unnormalised, of phi (s = 0)
     # or psi (s = 1) after Alice's outcome i.
     cond = alice.conj()[:, None, :, None, :] @ vecs[:, :, None]
-    norm = _complex_norm(cond)[..., 0, :]
+    norm = complex_norm(cond)
     cond = cond[..., 0, :]
     n_phi, n_psi = norm[:, 0], norm[:, 1]
     dead = (n_phi < _DEGENERATE_NORM) & (n_psi < _DEGENERATE_NORM)
@@ -293,7 +270,7 @@ def walgate_pairs(pairs) -> list[FeedForwardProtocol]:
     bob[:, :, 0] = np.where(on_phi, anchor, other)
     bob[:, :, 1] = np.where(on_phi, other, anchor)
     bob[dead[..., 0]] = ID2  # a branch that never fires: H/V
-    return _protocols(alice, bob, T_B_GUESS[None].repeat(len(w), axis=0))
+    return alice, bob
 
 
 def canonical_protocol() -> FeedForwardProtocol:
@@ -564,41 +541,48 @@ def optimize_local_projective(
     Bob bases are equal, and the value is exactly its ff_success_probability.
     This is optimize_pairs on a stack of one pair.
     """
-    return optimize_pairs([(rho0, rho1)], priors, config)[0]
+    alice, bobs, guess, values = optimize_pairs(np.array([(rho0.mat, rho1.mat)]), priors, config)
+    protocol = FeedForwardProtocol(alice_basis=alice[0], bob_bases=bobs[0], guess_map=guess[0])
+    return protocol, float(values[0])
 
 
 def optimize_pairs(
-    pairs,
+    mats: np.ndarray,
     priors: PriorPair = EQUAL_PRIORS,
     config: OptimizerConfig | None = None,
-) -> list[tuple[FeedForwardProtocol, float]]:
-    """optimize_local_projective for every (rho0, rho1) of pairs, searched together.
+):
+    """optimize_local_projective for every (rho0, rho1) pair of a (B, 2, 4, 4)
+    density stack, searched together: the (B, 2, 2) Alice bases, (B, 2, 2, 2)
+    Bob bases (equal per pair), (B, 2, 2) guess maps and (B,) values.
 
     The pairs go through the search in stacks of up to 64: one einsum gives
     their correlation tables, and the grid stage, the polish, the choice of
-    Bob's direction, the guesses and the values each run once on a leading
-    pair axis, and so does the protocols' Gram check.  Every pair keeps its
-    own stopping rule, so a pair's result is the one it gets alone.
+    Bob's direction, the guesses, the values and the bases' Gram check each
+    run once on a leading pair axis.  Every pair keeps its own stopping rule,
+    so a pair's result is the one it gets alone.
     """
     _check_priors(priors)
     cfg = config or OptimizerConfig()
-    pairs = list(pairs)
-    results = []
-    for lo in range(0, len(pairs), _BLOCK):
-        results += _optimize_block(pairs[lo : lo + _BLOCK], priors, cfg)
-    return results
+    n = len(mats)
+    alice, bobs = np.empty((n, 2, 2), dtype=complex), np.empty((n, 2, 2, 2), dtype=complex)
+    guess, values = np.empty((n, 2, 2), dtype=int), np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        alice[block], bobs[block], guess[block], values[block] = _optimize_block(
+            mats[block], priors, cfg
+        )
+    return alice, bobs, guess, values
 
 
-def _optimize_block(pairs: list, priors: PriorPair, cfg: OptimizerConfig) -> list:
+def _optimize_block(rhos: np.ndarray, priors: PriorPair, cfg: OptimizerConfig):
     """optimize_pairs on one stack of at most _BLOCK pairs."""
-    rhos = np.array([(rho0.mat, rho1.mat) for rho0, rho1 in pairs])
     d = (priors.p0 * rhos[:, 0] - priors.p1 * rhos[:, 1]).reshape(-1, 2, 2, 2, 2)
     table = np.einsum("mca,neb,zabce->zmn", PAULIS, PAULIS, d).real
 
     score = _mixed_term(table, _GRID)
     t = table[:, 1:, 0]
-    # |t| as a dot product, the way np.linalg.norm takes it for one vector.
-    norm_t = np.sqrt(t[:, None, :] @ t[:, :, None])[:, 0]
+    # |t| as np.linalg.norm takes it for one vector.
+    norm_t = np.sqrt(np.vecdot(t, t))[:, None]
     a = np.where(norm_t > 0.0, t, (0.0, 0.0, 1.0)) / np.where(norm_t > 0.0, norm_t, 1.0)
     u = np.linalg.svd(table[:, 1:, 1:])[0][..., 0]
     order = np.argsort(-score, axis=-1, kind="stable")
@@ -610,9 +594,10 @@ def _optimize_block(pairs: list, priors: PriorPair, cfg: OptimizerConfig) -> lis
 
     bases = _basis(np.stack([alice, bob], axis=1))
     ua, bobs = bases[:, 0], bases[:, [1, 1]]
+    _check_protocol(ua, bobs)
     q = _ket_probabilities(_product_kets(ua, bobs), rhos)
     assignment = np.where(priors.p0 * q[:, 0] >= priors.p1 * q[:, 1], 0, 1).reshape(-1, 2, 2)
-    return list(zip(_protocols(ua, bobs, assignment), _success(q, assignment, priors).tolist()))
+    return ua, bobs, assignment, _success(q, assignment, priors)
 
 
 def advantage(

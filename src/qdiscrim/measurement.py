@@ -16,7 +16,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .discrimination import T_B_GUESS, FeedForwardProtocol, _ket_probabilities, _product_kets
+from .discrimination import (
+    T_B_GUESS,
+    FeedForwardProtocol,
+    _check_protocol,
+    _ket_probabilities,
+    _product_kets,
+)
 from .errors import EmptyCountsError, IncompletePOVMError, InvalidProtocolError
 from .linalg import ID4, KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, read_only
 from .states import NEGATIVE_EIG_TOL, DensityMatrix2Q
@@ -133,18 +139,6 @@ class TomographyRecord:
         }
 
 
-def _require_t_b(protocol: FeedForwardProtocol) -> None:
-    """Raise unless the protocol follows the T_b convention that ``estimate`` reads."""
-    if not isinstance(protocol, FeedForwardProtocol):
-        raise TypeError("expected a FeedForwardProtocol")
-    if protocol.guess_map.tolist() != T_B_GUESS.tolist():
-        raise InvalidProtocolError(
-            f"guess_map {protocol.guess_map.tolist()} does not follow the T_b convention: "
-            "Bob's outcome 0 (T_b) must guess label 0 and outcome 1 (R_b) label 1 "
-            "in both branches"
-        )
-
-
 def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarray]]:
     """The four labelled coincidence projectors of a feed-forward protocol.
 
@@ -156,36 +150,30 @@ def protocol_to_povm(protocol: FeedForwardProtocol) -> list[tuple[str, np.ndarra
     product ket k_o = alice_i (x) bob_ij that coincidence_probabilities reads;
     the elements sum to the identity because the protocol's Gram check passed.
     """
-    _require_t_b(protocol)
+    if not isinstance(protocol, FeedForwardProtocol):
+        raise TypeError("expected a FeedForwardProtocol")
+    if protocol.guess_map.tolist() != T_B_GUESS.tolist():
+        raise InvalidProtocolError(
+            f"guess_map {protocol.guess_map.tolist()} does not follow the T_b convention: "
+            "Bob's outcome 0 (T_b) must guess label 0 and outcome 1 (R_b) label 1 "
+            "in both branches"
+        )
     kets = _product_kets(protocol.alice_basis, protocol.bob_bases)
     return list(zip(COINCIDENCE_LABELS, kets[:, :, None] * kets.conj()[:, None, :]))
 
 
-def coincidence_probabilities(protocols, rhos) -> np.ndarray:
-    """Outcome probabilities of every protocol for its states, without POVM matrices.
+def coincidence_probabilities(alice, bobs, mats) -> np.ndarray:
+    """Outcome probabilities of B protocols for their states, without POVM matrices.
 
-    protocols holds B protocols and rhos one row per protocol, every row the
-    same number R of DensityMatrix2Q; other counts raise ValueError, and no
-    protocols give a (0, 0, 4) array.  Entry [b, r, o] of the (B, R, 4) result
-    is Tr(rho_br Pi_o) for outcome o of protocol b, in COINCIDENCE_LABELS order.
-    Each Pi_o is the projector on a product ket k_o = alice_i (x) bob_ij, so
-    Tr(rho Pi_o) = <k_o|rho|k_o>, which _ket_probabilities reads for every
-    protocol and state at once.  As in protocol_to_povm, a guess map other
-    than [[0, 1], [0, 1]] raises InvalidProtocolError; the projectors sum to
-    the identity because each protocol's Gram check passed.
+    alice and bobs are the protocols' (B, 2, 2) and (B, 2, 2, 2) bases and mats
+    a (B, R, 4, 4) density stack.  Entry [b, r, o] of the (B, R, 4) result is
+    Tr(rho_br Pi_o) = <k_o|rho_br|k_o> for outcome o of protocol b, in
+    COINCIDENCE_LABELS order, k_o = alice_i (x) bob_ij its product ket.  The
+    bases' Gram check runs once for the stack, so each protocol's projectors
+    sum to the identity.
     """
-    protocols, rhos = list(protocols), [list(row) for row in rhos]
-    if len(rhos) != len(protocols) or len({len(row) for row in rhos}) > 1:
-        raise ValueError("expected one row of states per protocol, all rows of one length")
-    if not protocols:
-        return np.zeros((0, 0, 4))
-    for protocol in protocols:
-        _require_t_b(protocol)
-    kets = _product_kets(
-        np.array([p.alice_basis for p in protocols]), np.array([p.bob_bases for p in protocols])
-    )
-    mats = np.array([[rho.mat for rho in row] for row in rhos])
-    return _ket_probabilities(kets, mats)
+    _check_protocol(alice, bobs)
+    return _ket_probabilities(_product_kets(alice, bobs), mats)
 
 
 def sample_coincidences(

@@ -53,12 +53,7 @@ class PureState2Q:
         v = np.asarray(self.vec, dtype=complex).reshape(-1)
         if v.shape != (4,):
             raise ValueError(f"expected 4 amplitudes, got shape {np.shape(self.vec)}")
-        if not np.isfinite(v).all():
-            raise ValueError("state amplitudes must be finite")
-        n = np.linalg.norm(v)
-        if abs(n - 1.0) > linalg.NORM_ATOL:
-            raise ValueError(f"state norm deviates from 1 by {abs(n - 1.0):.3e}")
-        object.__setattr__(self, "vec", read_only(v))
+        object.__setattr__(self, "vec", _unit(v))
 
     def density(self) -> "DensityMatrix2Q":
         return DensityMatrix2Q(linalg.projector(self.vec))
@@ -69,6 +64,22 @@ class PureState2Q:
 
     def to_json(self) -> list:
         return complex_to_pairs(self.vec)
+
+
+def _unit(vecs: np.ndarray) -> np.ndarray:
+    """PureState2Q's check of one 4-vector or a whole (..., 4) stack: its read-only copy.
+
+    Every amplitude must be finite and every norm within NORM_ATOL of 1; the
+    first vector that fails raises the error the constructor raises for it.
+    """
+    dev = abs(linalg.complex_norm(vecs) - 1.0)
+    bad = ~(dev <= linalg.NORM_ATOL)  # a non-finite amplitude makes dev NaN or inf
+    if bad.any() if bad.ndim else bad:  # .any() of one vector's numpy bool costs microseconds
+        k = bad.argmax()
+        if not np.isfinite(vecs.reshape(-1, 4)[k]).all():
+            raise ValueError("state amplitudes must be finite")
+        raise ValueError(f"state norm deviates from 1 by {dev.flat[k]:.3e}")
+    return read_only(vecs)
 
 
 @dataclass(frozen=True)
@@ -134,6 +145,10 @@ def phi_pairs(theta0s, theta1s) -> np.ndarray:
     return np.stack([_family(theta0s, u_state(), 1.0), _family(theta1s, u_perp_state(), -1.0)], 1)
 
 
+# The fixed pair phi0(60 deg), phi1(30 deg) that every psi pair superposes.
+_PSI_BASE = read_only(phi_pairs([60.0], [30.0])[0])
+
+
 def phi0(theta0_deg: float) -> PureState2Q:
     """First orthogonal-family state cos(t)|H>(Z|u>) + sin(t)|V>|u>."""
     return PureState2Q(_family([theta0_deg], u_state(), 1.0)[0])
@@ -150,7 +165,7 @@ def psi_pairs(etas) -> np.ndarray:
         if not 0.0 <= float(eta) <= 45.0:
             raise ValueError(f"eta_deg must lie in [0, 45], got {eta}")
     half = np.deg2rad(45.0 - np.array(etas, dtype=float))[:, None]
-    a, b = phi_pairs([60.0], [30.0])[0]
+    a, b = _PSI_BASE
     return np.stack([np.cos(half) * a + np.sin(half) * b, np.sin(half) * a + np.cos(half) * b], 1)
 
 

@@ -597,11 +597,12 @@ def test_stacked_rows_match_the_per_protocol_scores(tmp_path, capsys):
 def test_grid_and_curve_rows_build_and_check_their_objects_as_stacks(
     tmp_path, capsys, monkeypatch
 ):
-    # No row runs the DensityMatrix2Q or FeedForwardProtocol constructor's
-    # check, and the eigensolver calls of a command do not grow with its rows.
+    # No row runs the PureState2Q, DensityMatrix2Q or FeedForwardProtocol
+    # constructor's check, and the eigensolver calls of a command do not grow
+    # with its rows.
     from collections import Counter
 
-    from qdiscrim import DensityMatrix2Q, FeedForwardProtocol
+    from qdiscrim import DensityMatrix2Q, FeedForwardProtocol, PureState2Q
 
     calls = Counter()
 
@@ -614,6 +615,7 @@ def test_grid_and_curve_rows_build_and_check_their_objects_as_stacks(
 
         monkeypatch.setattr(owner, name, counted)
 
+    count(PureState2Q, "__post_init__", "state")
     count(DensityMatrix2Q, "__post_init__", "density")
     count(FeedForwardProtocol, "__post_init__", "protocol")
     count(np.linalg, "eigh", "eig")
@@ -702,5 +704,6 @@ def test_export_list_is_sorted_unique_and_resolves():
     assert names == sorted(names) and len(set(names)) == len(names)
     for name in names:
         assert hasattr(qdiscrim, name), name
-    for deleted in ("apply_local", "NotUnitaryError"):
+    for deleted in ("apply_local", "NotUnitaryError", "optimize_pairs", "walgate_pairs",
+                    "coincidence_probabilities"):
         assert deleted not in names and not hasattr(qdiscrim, deleted)

@@ -19,15 +19,14 @@ from qdiscrim import (
     helstrom_bound,
     hollow_vector,
     optimize_local_projective,
-    optimize_pairs,
     phi0,
     phi1,
     protocol_to_povm,
     psi_pair,
     walgate_decompose,
-    walgate_pairs,
 )
 from qdiscrim import discrimination
+from qdiscrim.discrimination import T_B_GUESS, optimize_pairs, walgate_pairs
 from qdiscrim.linalg import KET_H, KET_V, kron, projector
 from qdiscrim.states import DensityMatrix2Q, PureState2Q, werner_noise
 
@@ -221,30 +220,34 @@ def _walgate_stack_cases(rng) -> list:
     return pairs
 
 
+def _vecs(pairs) -> np.ndarray:
+    return np.array([(a.vec, b.vec) for a, b in pairs])
+
+
 def test_walgate_pairs_is_walgate_decompose_on_every_pair(rng):
     pairs = _walgate_stack_cases(rng)
     alone = [walgate_decompose(a, b) for a, b in pairs]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = walgate_pairs(pairs)
-        reversed_stack = walgate_pairs(iter(pairs[::-1]))[::-1]
-    assert len(stacked) == len(pairs)
-    for single, got, got_reversed, (a, b) in zip(alone, stacked, reversed_stack, pairs):
-        for protocol in (got, got_reversed):
-            for key in ("alice_basis", "bob_bases", "guess_map"):
-                assert np.array_equal(getattr(protocol, key), getattr(single, key))
-        assert abs(ff_success_probability(got, a.density(), b.density()) - 1.0) < 1e-12
+        stacked = walgate_pairs(_vecs(pairs))
+        reversed_stack = [bases[::-1] for bases in walgate_pairs(_vecs(pairs[::-1]))]
+    assert stacked[0].shape == (len(pairs), 2, 2) and stacked[1].shape == (len(pairs), 2, 2, 2)
+    for single, (a, b), *got in zip(alone, pairs, *stacked, *reversed_stack):
+        assert np.array_equal(got[0], single.alice_basis) and np.array_equal(got[2], got[0])
+        assert np.array_equal(got[1], single.bob_bases) and np.array_equal(got[3], got[1])
+        assert np.array_equal(single.guess_map, T_B_GUESS)
+        assert abs(ff_success_probability(single, a.density(), b.density()) - 1.0) < 1e-12
     # HH against HV: Alice's V outcome never fires, and its Bob basis is H/V.
-    dead = stacked[-5]
-    assert np.allclose(np.abs(dead.alice_basis), np.eye(2))
-    assert np.array_equal(dead.bob_bases[1], np.eye(2))
-    assert walgate_pairs([]) == []
+    assert np.allclose(np.abs(stacked[0][-5]), np.eye(2))
+    assert np.array_equal(stacked[1][-5, 1], np.eye(2))
+    empty = walgate_pairs(np.zeros((0, 2, 4), dtype=complex))
+    assert empty[0].shape == (0, 2, 2) and empty[1].shape == (0, 2, 2, 2)
 
 
 def test_walgate_pairs_checks_every_pair():
     good = (phi0(30.0), phi1(60.0))
     with pytest.raises(NotOrthogonalError, match="exceeds 1e-9"):
-        walgate_pairs([good, psi_pair(20.0), good])
+        walgate_pairs(_vecs([good, psi_pair(20.0), good]))
 
 
 def test_walgate_bases_are_orthonormal(rng):
@@ -386,24 +389,22 @@ _SKEW = np.array([[1.0, 0.0], [0.6, 0.8]], dtype=complex)  # unit rows, not orth
 def test_protocol_validation_names_the_fault(alice, bobs, guess, message):
     with pytest.raises(InvalidProtocolError, match=message):
         FeedForwardProtocol(alice_basis=alice, bob_bases=np.array(bobs), guess_map=np.array(guess))
-    if np.shape(alice) + np.shape(bobs) + np.shape(guess) == (2,) * 7:
-        # A stack of protocols names its first faulty one, at any row, as the
-        # constructor does, though a protocol after it is faulty too.
+    if "orthonormal" in message:
+        # The Gram check of a stack of bases names its first faulty protocol, at
+        # any row, as the constructor does, though a protocol after it is faulty too.
         for row in (0, 2, 4):
             with pytest.raises(InvalidProtocolError, match=message):
-                discrimination._protocols(*_protocol_stack(row, alice, bobs, guess))
+                discrimination._check_protocol(*_basis_stack(row, alice, bobs))
 
 
-def _protocol_stack(row: int, alice, bobs, guess):
-    """Five canonical protocols with (alice, bobs, guess) at row and, past it,
-    one with a skew Alice basis."""
+def _basis_stack(row: int, alice, bobs):
+    """The bases of five canonical protocols with (alice, bobs) at row and, past
+    it, a skew Alice basis."""
     good = canonical_protocol()
-    stack = [np.array([x] * 5, dtype=complex if x.dtype.kind == "c" else float)
-             for x in (good.alice_basis, good.bob_bases, good.guess_map)]
+    stack = [np.array([x] * 5) for x in (good.alice_basis, good.bob_bases)]
     if row < 4:
         stack[0][4] = _SKEW
-    for part, bad in zip(stack, (alice, bobs, guess)):
-        part[row] = bad
+    stack[0][row], stack[1][row] = alice, bobs
     return stack
 
 
@@ -422,10 +423,10 @@ def test_the_protocol_stack_check_keeps_the_basis_tolerance(error, accepted, slo
     with verdict():
         FeedForwardProtocol(alice_basis=bases[0], bob_bases=np.array(bases[1:]), guess_map=guess)
     for row in (0, 2, 4):
-        stack = _protocol_stack(row, bases[0], bases[1:], guess)
+        stack = _basis_stack(row, bases[0], bases[1:])
         stack[0][4 if row < 4 else 0] = _EYE  # no second fault
         with verdict():
-            discrimination._protocols(*stack)
+            discrimination._check_protocol(*stack)
 
 
 # ---------------------------------------------------------------- product (no feed-forward)
@@ -698,6 +699,16 @@ def test_optimizer_config_takes_integers_only():
             OptimizerConfig(refine_starts=bad)
 
 
+def _mats(pairs) -> np.ndarray:
+    return np.array([(r0.mat, r1.mat) for r0, r1 in pairs])
+
+
+def _rows(stacked) -> list:
+    """optimize_pairs' (alice, bobs, guess, values) stacks as one
+    (FeedForwardProtocol, value) per pair."""
+    return [(FeedForwardProtocol(*bases), value) for *bases, value in zip(*stacked)]
+
+
 def _same_result(got, want) -> bool:
     """Bit for bit, or within 1e-15 with the same guess map."""
     (m1, v1), (m2, v2) = got, want
@@ -715,7 +726,7 @@ def test_optimize_pairs_agrees_with_single_calls_on_skewed_priors():
              for i in range(200)]
     assert len(pairs) > 3 * discrimination._BLOCK  # every block, the last one partly filled
     for priors in (PriorPair(0.3, 0.7), PriorPair(0.85, 0.15)):
-        stacked = optimize_pairs(pairs, priors)
+        stacked = _rows(optimize_pairs(_mats(pairs), priors))
         assert len(stacked) == len(pairs)
         for pair, got in zip(pairs, stacked):
             assert _same_result(got, optimize_local_projective(*pair, priors))
@@ -743,8 +754,8 @@ def test_optimize_pairs_result_does_not_depend_on_the_stack(monkeypatch):
     polished.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        stacked = optimize_pairs(stack)
-        reversed_stack = optimize_pairs(stack[::-1])[::-1]
+        stacked = _rows(optimize_pairs(_mats(stack)))
+        reversed_stack = _rows(optimize_pairs(_mats(stack)[::-1]))[::-1]
     assert np.array_equal(polished[0], alone_starts)
     assert np.array_equal(polished[1][::-1], alone_starts)
     for single, got, got_reversed in zip(alone, stacked, reversed_stack):
@@ -768,18 +779,19 @@ def test_optimize_pairs_crosses_block_boundaries(monkeypatch):
         discrimination, "_optimize_block", lambda p, *rest: sizes.append(len(p)) or block(p, *rest)
     )
     monkeypatch.setattr(discrimination, "_BLOCK", 4)
-    stacked = optimize_pairs(iter(pairs))
+    stacked = _rows(optimize_pairs(_mats(pairs)))
     assert sizes == [4, 4, 3]
     assert all(_same_result(got, want) for got, want in zip(stacked, alone, strict=True))
-    assert optimize_pairs([]) == []
+    empty = optimize_pairs(np.zeros((0, 2, 4, 4), dtype=complex))
+    assert [x.shape for x in empty] == [(0, 2, 2), (0, 2, 2, 2), (0, 2, 2), (0,)]
 
 
 def test_optimize_pairs_without_polish():
     rng = np.random.default_rng(2304)
     pairs = [(random_density(rng, 1 + i % 4), random_density(rng, 1 + i % 3)) for i in range(20)]
     grid_only = OptimizerConfig(refine_starts=0)
-    coarse = optimize_pairs(pairs, PriorPair(0.4, 0.6), grid_only)
-    polished = optimize_pairs(pairs, PriorPair(0.4, 0.6))
+    coarse = _rows(optimize_pairs(_mats(pairs), PriorPair(0.4, 0.6), grid_only))
+    polished = _rows(optimize_pairs(_mats(pairs), PriorPair(0.4, 0.6)))
     for pair, got, better in zip(pairs, coarse, polished):
         assert _same_result(got, optimize_local_projective(*pair, PriorPair(0.4, 0.6), grid_only))
         assert better[1] >= got[1] - 1e-15

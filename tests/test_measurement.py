@@ -13,7 +13,6 @@ from qdiscrim import (
     InvalidProtocolError,
     PureState2Q,
     canonical_protocol,
-    coincidence_probabilities,
     draw_coincidences,
     estimate,
     ff_success_probability,
@@ -27,7 +26,13 @@ from qdiscrim import (
 )
 from qdiscrim.discrimination import BASIS_ATOL, T_B_GUESS, _product_kets
 from qdiscrim.linalg import kron, projector
-from qdiscrim.measurement import TOMO_DESIGN, TOMO_LABELS, TomographyRecord, setting_probabilities
+from qdiscrim.measurement import (
+    TOMO_DESIGN,
+    TOMO_LABELS,
+    TomographyRecord,
+    coincidence_probabilities,
+    setting_probabilities,
+)
 
 from conftest import TOMO_PROJECTORS, random_density, random_unitary2
 
@@ -59,6 +64,8 @@ def test_protocol_to_povm_requires_the_t_b_guess_map():
     assert abs(ff_success_probability(swapped, rho0, rho1) - 0.95) < 1e-12
     with pytest.raises(InvalidProtocolError, match="T_b"):
         protocol_to_povm(swapped)
+    with pytest.raises(TypeError, match="expected a FeedForwardProtocol"):
+        protocol_to_povm("not a protocol")
     for protocol in (walgate, canonical_protocol()):
         assert len(protocol_to_povm(protocol)) == 4
 
@@ -172,7 +179,10 @@ def test_coincidence_probabilities_are_the_povm_traces():
     protocols = [_random_t_b_protocol(rng) for _ in range(30)]
     protocols += [canonical_protocol(), walgate_decompose(phi0(30.0), phi1(60.0))]
     rhos = [[random_density(rng, 1 + (k + r) % 4) for r in range(3)] for k in range(32)]
-    probs = coincidence_probabilities(protocols, rhos)
+    alice = np.array([p.alice_basis for p in protocols])
+    bobs = np.array([p.bob_bases for p in protocols])
+    mats = np.array([[rho.mat for rho in row] for row in rhos])
+    probs = coincidence_probabilities(alice, bobs, mats)
     assert probs.shape == (32, 3, 4)
     for protocol, states, got in zip(protocols, rhos, probs):
         want = [[np.trace(rho.mat @ mat).real for mat in _kron_povm(protocol)] for rho in states]
@@ -180,32 +190,16 @@ def test_coincidence_probabilities_are_the_povm_traces():
     # A stack gives exactly the numbers of each protocol alone, whatever other
     # states share its row.
     for k in (0, 17, 31):
-        one = coincidence_probabilities(iter(protocols[k : k + 1]), [rhos[k] + rhos[0]])
+        row = np.concatenate([mats[k], mats[0]])[None]
+        one = coincidence_probabilities(alice[k : k + 1], bobs[k : k + 1], row)
         assert np.array_equal(one[0, :3], probs[k])
-
-
-def test_coincidence_probabilities_take_one_row_per_protocol():
-    rng = np.random.default_rng(2405)
-    p, q = _random_t_b_protocol(rng), _random_t_b_protocol(rng)
-    # One row used to be broadcast to both protocols.
-    for rhos in ([[MIXED]], [[MIXED], [MIXED], [MIXED]], [[MIXED], [MIXED, MIXED]], []):
-        with pytest.raises(ValueError, match="one row of states per protocol"):
-            coincidence_probabilities([p, q], rhos)
-    assert coincidence_probabilities([], []).shape == (0, 0, 4)
-
-
-def test_coincidence_probabilities_keep_the_povm_guards():
-    rng = np.random.default_rng(2402)
-    good = _random_t_b_protocol(rng)
-    swapped = FeedForwardProtocol(
-        alice_basis=good.alice_basis, bob_bases=good.bob_bases,
-        guess_map=np.array([[1, 0], [0, 1]]),
-    )
-    rhos = [[MIXED], [MIXED]]
-    with pytest.raises(InvalidProtocolError, match="T_b convention"):
-        coincidence_probabilities([good, swapped], rhos)
-    with pytest.raises(TypeError):
-        coincidence_probabilities([good, "not a protocol"], rhos)
+    empty = coincidence_probabilities(alice[:0], bobs[:0], np.zeros((0, 0, 4, 4)))
+    assert empty.shape == (0, 0, 4)
+    # The stack's Gram check is the protocols' one: a basis it reads must be orthonormal.
+    skew = alice.copy()
+    skew[17, 1] = skew[17, 0]
+    with pytest.raises(InvalidProtocolError, match="Alice basis is not orthonormal"):
+        coincidence_probabilities(skew, bobs, mats)
 
 
 def test_accepted_protocols_resolve_the_identity_up_to_the_gram_limit():

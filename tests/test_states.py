@@ -196,11 +196,11 @@ def test_stacked_constructors_give_the_one_item_vectors_bit_for_bit():
 
 
 def _rejection(make, item):
-    """The message of the InvalidDensityError make(item) raises, or None."""
+    """The type and message of the error make(item) raises, or None."""
     try:
         make(item)
-    except InvalidDensityError as exc:
-        return str(exc)
+    except (InvalidDensityError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
     return None
 
 
@@ -216,23 +216,36 @@ def _stack_with(good, row, bad, later):
 _MIXED = np.eye(4, dtype=complex) / 4.0
 _NONHERM = _MIXED.copy()
 _NONHERM[0, 1] = 0.1
+_HH = np.eye(4, dtype=complex)[0]
+_LONG = _HH * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("row", [0, 2, 4])
 @pytest.mark.parametrize(
     "bad",
     [np.eye(4, dtype=complex), np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), _NONHERM,
-     np.full((4, 4), np.nan, dtype=complex)],
-    ids=["trace", "negative", "non-hermitian", "nan"],
+     np.full((4, 4), np.nan, dtype=complex), np.full(4, np.nan, dtype=complex), _LONG],
+    ids=["trace", "negative", "non-hermitian", "nan", "vector-nan", "vector-norm"],
 )
 def test_a_density_stack_names_its_first_bad_matrix_as_the_constructor_does(row, bad):
-    want = _rejection(DensityMatrix2Q, bad)
-    assert want is not None
-    later = _NONHERM if bad is not _NONHERM else np.eye(4, dtype=complex)
-    assert _rejection(states._densities, _stack_with(_MIXED, row, bad, later)) == want
+    # So does an amplitude stack its first bad vector, as PureState2Q does.
+    if bad.ndim == 1:
+        one, stack, good, later = PureState2Q, states._unit, _HH, np.full(4, np.inf) + 0j
+        if bad is not _LONG:
+            later = _LONG
+    else:
+        one, stack, good = DensityMatrix2Q, states._densities, _MIXED
+        later = _NONHERM if bad is not _NONHERM else np.eye(4, dtype=complex)
+    want = _rejection(one, bad)
+    assert want is not None and want != _rejection(one, later)
+    assert _rejection(stack, _stack_with(good, row, bad, later)) == want
 
 
 def _edge_matrix(kind: str, size: float, rng) -> np.ndarray:
+    if kind == "norm":
+        # A unit vector scaled so that its norm deviates from 1 by size.
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        return vec / np.linalg.norm(vec) * (1.0 + size)
     if kind == "eigenvalue":
         # A rotated spectrum whose smallest eigenvalue is -size.
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
@@ -245,14 +258,21 @@ def _edge_matrix(kind: str, size: float, rng) -> np.ndarray:
 @pytest.mark.parametrize(
     "kind, size, accepted",
     [("eigenvalue", 0.9e-9, True), ("eigenvalue", 1.1e-9, False),
-     ("hermiticity", 0.9e-10, True), ("hermiticity", 1.1e-10, False)],
+     ("hermiticity", 0.9e-10, True), ("hermiticity", 1.1e-10, False),
+     ("norm", 0.9e-12, True), ("norm", 1.1e-12, False)],
 )
 def test_the_density_stack_check_keeps_the_constructor_tolerances(kind, size, accepted, rng):
+    # And the amplitude stack check keeps PureState2Q's norm tolerance.
     mat = _edge_matrix(kind, size, rng)
-    want = _rejection(DensityMatrix2Q, mat)
+    if kind == "norm":
+        one, check, good, field = PureState2Q, states._unit, _HH, "vec"
+        assert abs(np.linalg.norm(mat) - 1.0 - size) < 1e-14
+    else:
+        one, check, good, field = DensityMatrix2Q, states._densities, _MIXED, "mat"
+    want = _rejection(one, mat)
     assert (want is None) == accepted
     for row in (0, 2, 4):
-        stack = _stack_with(_MIXED, row, mat, _MIXED)
-        assert _rejection(states._densities, stack) == want
+        stack = _stack_with(good, row, mat, good)
+        assert _rejection(check, stack) == want
         if accepted:
-            assert np.array_equal(states._densities(stack)[row], DensityMatrix2Q(mat).mat)
+            assert np.array_equal(check(stack)[row], getattr(one(mat), field))
