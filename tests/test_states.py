@@ -230,9 +230,8 @@ _LONG = _HH * (1.0 + 1e-6)
 def test_a_density_stack_names_its_first_bad_matrix_as_the_constructor_does(row, bad):
     # So does an amplitude stack its first bad vector, as PureState2Q does.
     if bad.ndim == 1:
-        one, stack, good, later = PureState2Q, states._unit, _HH, np.full(4, np.inf) + 0j
-        if bad is not _LONG:
-            later = _LONG
+        one, stack, good = PureState2Q, states._unit, _HH
+        later = _LONG if bad is not _LONG else np.full(4, np.inf, dtype=complex)
     else:
         one, stack, good = DensityMatrix2Q, states._densities, _MIXED
         later = _NONHERM if bad is not _NONHERM else np.eye(4, dtype=complex)
